@@ -23,6 +23,7 @@ from qexp.collection import ParseError
 
 MODEL_MAGIC = b"QXDM"
 MODEL_VERSION = 1
+_HEADER_SIZE = 26
 _POOLING_CODES = {"last": 0, "mean": 1}
 _POOLING_NAMES = {v: k for k, v in _POOLING_CODES.items()}
 
@@ -44,6 +45,8 @@ def load_model(path) -> tuple[SiameseModel, int]:
     data = Path(path).read_bytes()
     if data[:4] != MODEL_MAGIC:
         raise ParseError(f"{path}: not a model checkpoint (bad magic)")
+    if len(data) < _HEADER_SIZE:
+        raise ParseError(f"{path}: truncated checkpoint header")
     if data[4] != MODEL_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {data[4]}")
     if data[5] not in _POOLING_NAMES:
@@ -52,7 +55,7 @@ def load_model(path) -> tuple[SiameseModel, int]:
     d, h, r = struct.unpack_from("<III", data, 6)
     (seed,) = struct.unpack_from("<Q", data, 18)
     model = SiameseModel(d, h, r, np.random.default_rng(0), pooling)
-    off = 26
+    off = _HEADER_SIZE
     for name in PARAM_ORDER:
         shape = model.params[name].shape
         count = int(np.prod(shape))

@@ -6,10 +6,9 @@ import numpy as np
 
 from qexp.classifier.network import SAME_CLASS, SiameseModel
 from qexp.classifier.training import example_sequence
+from qexp.config import Config
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import Label, LabeledDataset
-
-DEFAULT_REFSET_SIZE = 100
 
 
 @dataclass
@@ -37,7 +36,7 @@ class ReferenceSet:
 
 
 def build_reference_set(dataset: LabeledDataset, table: EmbeddingTable,
-                        size: int = DEFAULT_REFSET_SIZE,
+                        size: int = Config.refset_size,
                         rng: np.random.Generator | None = None) -> ReferenceSet:
     """Sample size/2 good and size/2 bad encodable examples from training data.
 
@@ -46,7 +45,7 @@ def build_reference_set(dataset: LabeledDataset, table: EmbeddingTable,
     if size % 2 != 0 or size < 2:
         raise ValueError(f"reference set size must be even and >= 2, got {size}")
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(Config.seed)
     pools = {Label.GOOD: [], Label.BAD: []}
     for ex in dataset.examples:
         if ex.label not in pools:
@@ -97,7 +96,7 @@ def p_good_from_outcomes(same_flags, labels) -> float:
 
 def p_good(query_terms, candidate: str, model: SiameseModel, refset: ReferenceSet,
            table: EmbeddingTable, ref_reps: np.ndarray | None = None,
-           symmetric: bool = False) -> float:
+           symmetric: bool = Config.symmetric_compare) -> float:
     """Probability the candidate is a good expansion term for the query.
 
     The (query, candidate) input is compared against every reference item;

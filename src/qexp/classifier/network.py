@@ -14,6 +14,8 @@ the (.,4h) matrices are ordered input, forget, cell-candidate, output.
 
 import numpy as np
 
+from qexp.config import Config
+
 PARAM_ORDER = (
     "fwd.W", "fwd.U", "fwd.b",
     "bwd.W", "bwd.U", "bwd.b",
@@ -49,7 +51,7 @@ class SiameseModel:
     """
 
     def __init__(self, dim: int, hidden: int, rep: int, rng: np.random.Generator,
-                 pooling: str = "last"):
+                 pooling: str = Config.pooling):
         if pooling not in ("last", "mean"):
             raise ValueError(f"unknown pooling mode {pooling!r}")
         self.dim = dim

@@ -8,26 +8,20 @@ import numpy as np
 
 from qexp.classifier.network import SiameseModel
 from qexp.classifier.pairs import generate_pairs
+from qexp.config import Config
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import LabeledDataset
 
 log = logging.getLogger(__name__)
 
-DEFAULT_HIDDEN = 200
-DEFAULT_REP = 400
-DEFAULT_PAIR_BUDGET = 50_000
-
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-    epochs: int = 20
-    seed: int = 0
-    pair_budget: int = DEFAULT_PAIR_BUDGET
+    learning_rate: float = Config.lr
+    batch_size: int = Config.batch
+    epochs: int = Config.epochs
+    seed: int = Config.seed
+    pair_budget: int = Config.pair_budget
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -101,8 +95,8 @@ def encodable_examples(dataset: LabeledDataset, table: EmbeddingTable):
 
 def train(dataset: LabeledDataset, table: EmbeddingTable, cfg: TrainConfig,
           model: SiameseModel | None = None,
-          hidden: int = DEFAULT_HIDDEN, rep: int = DEFAULT_REP,
-          pooling: str = "last"):
+          hidden: int = Config.hidden, rep: int = Config.rep,
+          pooling: str = Config.pooling):
     """Train on balanced same/different pairs; returns (model, loss history).
 
     All randomness (init, pair sampling, batch order) flows from cfg.seed,
@@ -117,7 +111,7 @@ def train(dataset: LabeledDataset, table: EmbeddingTable, cfg: TrainConfig,
         raise ValueError("training needs at least 2 encodable labeled examples")
     seq_of = {id(ex): seq for ex, seq in zip(examples, seqs)}
 
-    adam = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_adam)
+    adam = Adam(model.params, cfg.learning_rate)
     history = []
     for epoch in range(cfg.epochs):
         pairs = generate_pairs(examples, balance=True, rng=rng, budget=cfg.pair_budget)

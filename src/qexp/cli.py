@@ -12,13 +12,7 @@ from qexp.classifier.checkpoint import load_model, save_model, write_loss_csv
 from qexp.classifier.inference import build_reference_set, encode_reference_set
 from qexp.classifier.network import SiameseModel, gradient_check
 from qexp.classifier.training import TrainConfig, train
-from qexp.expansion import (
-    ExpansionConfig,
-    awe_expand,
-    dec_expand,
-    eqe1_expand,
-    qlm_model,
-)
+from qexp.expansion import ExpansionConfig
 from qexp.retrieval import retrieve, write_run
 
 log = logging.getLogger(__name__)
@@ -67,11 +61,25 @@ def _stopwords(cfg: config.Config):
     return collection.load_stopwords(cfg.stopwords or None)
 
 
-def _load_table(cfg: config.Config, idx, topics) -> embeddings.EmbeddingTable:
+def _load_retrieval_inputs(cfg: config.Config):
+    """Stopwords, index, topics, and the embeddings of index and title terms."""
+    stop = _stopwords(cfg)
+    idx = collection.InvertedIndex.load(_out(cfg, cfg.index))
+    topics = collection.load_topics(cfg.topics, stop)
     keep = set(idx.vocabulary())
     for t in topics:
         keep.update(t.title_terms)
-    return embeddings.load_embeddings(cfg.embeddings, restrict_to=keep)
+    table = embeddings.load_embeddings(cfg.embeddings, restrict_to=keep)
+    return stop, idx, topics, table
+
+
+def _train_config(cfg: config.Config) -> TrainConfig:
+    return TrainConfig(learning_rate=cfg.lr, batch_size=cfg.batch, epochs=cfg.epochs,
+                       seed=cfg.seed, pair_budget=cfg.pair_budget)
+
+
+def _expansion_config(cfg: config.Config) -> ExpansionConfig:
+    return ExpansionConfig(cfg.m, cfg.alpha, cfg.beta, cfg.pool_size)
 
 
 def cmd_index(args) -> int:
@@ -94,11 +102,8 @@ def cmd_index(args) -> int:
 def cmd_label(args) -> int:
     cfg = _cfg_from_args(args)
     _require(cfg, "index", "topics", "qrels", "embeddings")
-    stop = _stopwords(cfg)
-    idx = collection.InvertedIndex.load(_out(cfg, cfg.index))
-    topics = collection.load_topics(cfg.topics, stop)
+    stop, idx, topics, table = _load_retrieval_inputs(cfg)
     qrels = collection.load_qrels(cfg.qrels)
-    table = _load_table(cfg, idx, topics)
     dataset = labeling.build_dataset(
         topics, idx, qrels, table, pool_size=cfg.pool_size, eps=cfg.eps,
         mu=cfg.mu, depth=cfg.depth, stopwords=stop,
@@ -117,11 +122,8 @@ def cmd_train(args) -> int:
     keep = {t for ex in dataset.examples for t in ex.query_terms}
     keep.update(ex.candidate_term for ex in dataset.examples)
     table = embeddings.load_embeddings(cfg.embeddings, restrict_to=keep)
-    tcfg = TrainConfig(learning_rate=cfg.lr, batch_size=cfg.batch,
-                       epochs=cfg.epochs, seed=cfg.seed,
-                       pair_budget=cfg.pair_budget)
-    model, history = train(dataset, table, tcfg, hidden=cfg.hidden, rep=cfg.rep,
-                           pooling=cfg.pooling)
+    model, history = train(dataset, table, _train_config(cfg), hidden=cfg.hidden,
+                           rep=cfg.rep, pooling=cfg.pooling)
     save_model(model, _out(cfg, cfg.model), cfg.seed)
     write_loss_csv(history, _out(cfg, "loss.csv"))
     print(f"trained {cfg.epochs} epochs, final loss {history[-1][2]:.4f}, "
@@ -132,11 +134,8 @@ def cmd_train(args) -> int:
 def cmd_expand(args) -> int:
     cfg = _cfg_from_args(args)
     _require(cfg, "index", "topics", "embeddings")
-    stop = _stopwords(cfg)
-    idx = collection.InvertedIndex.load(_out(cfg, cfg.index))
-    topics = collection.load_topics(cfg.topics, stop)
-    table = _load_table(cfg, idx, topics)
-    ecfg = ExpansionConfig(cfg.m, cfg.alpha, cfg.beta, cfg.pool_size)
+    stop, idx, topics, table = _load_retrieval_inputs(cfg)
+    ecfg = _expansion_config(cfg)
 
     model = refset = ref_reps = None
     if args.method == "dec":
@@ -163,24 +162,17 @@ def cmd_expand(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _cfg_from_args(args)
     _require(cfg, "index", "topics", "qrels", "embeddings")
-    stop = _stopwords(cfg)
-    idx = collection.InvertedIndex.load(_out(cfg, cfg.index))
-    topics = collection.load_topics(cfg.topics, stop)
+    stop, idx, topics, table = _load_retrieval_inputs(cfg)
     qrels = collection.load_qrels(cfg.qrels)
-    table = _load_table(cfg, idx, topics)
     methods = args.methods.split(",") if args.methods else list(experiment.METHODS)
     dataset = None
     if "dec" in methods:
         _require(cfg, "dataset")
         dataset = labeling.LabeledDataset.load_tsv(_out(cfg, cfg.dataset))
-    tcfg = TrainConfig(learning_rate=cfg.lr, batch_size=cfg.batch,
-                       epochs=cfg.epochs, seed=cfg.seed,
-                       pair_budget=cfg.pair_budget)
     result = experiment.cross_validate(
         topics, idx, qrels, table, dataset, methods=methods, folds=cfg.folds,
-        seed=cfg.seed, expansion_cfg=ExpansionConfig(cfg.m, cfg.alpha, cfg.beta,
-                                                     cfg.pool_size),
-        train_cfg=tcfg, refset_size=cfg.refset_size, hidden=cfg.hidden,
+        seed=cfg.seed, expansion_cfg=_expansion_config(cfg),
+        train_cfg=_train_config(cfg), refset_size=cfg.refset_size, hidden=cfg.hidden,
         rep=cfg.rep, pooling=cfg.pooling, stopwords=stop, mu=cfg.mu,
         depth=cfg.depth, symmetric_compare=cfg.symmetric_compare)
     report = experiment.format_report(result)

@@ -53,36 +53,26 @@ class Topic:
 
 
 class Qrels:
-    """Relevance judgments: (query_id, doc_id) -> integer grade >= 0."""
+    """Relevance judgments: a (query_id, doc_id) pair is relevant when any of
+    its rows has a grade above 0."""
 
     def __init__(self):
-        self._grades: dict[tuple[str, str], int] = {}
         self._relevant: dict[str, set[str]] = {}
 
     def add(self, query_id: str, doc_id: str, grade: int):
         if grade < 0:
             raise ValueError(f"negative relevance grade for ({query_id}, {doc_id})")
-        self._grades[(query_id, doc_id)] = grade
         if grade > 0:
             self._relevant.setdefault(query_id, set()).add(doc_id)
 
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self._grades.get((query_id, doc_id), 0)
-
     def is_relevant(self, query_id: str, doc_id: str) -> bool:
-        return self.grade(query_id, doc_id) > 0
+        return doc_id in self._relevant.get(query_id, ())
 
     def relevant_docs(self, query_id: str) -> set[str]:
         return self._relevant.get(query_id, set())
 
     def num_relevant(self, query_id: str) -> int:
         return len(self._relevant.get(query_id, ()))
-
-    def __len__(self):
-        return len(self._grades)
-
-    def items(self):
-        return self._grades.items()
 
 
 class InvertedIndex:
@@ -293,6 +283,8 @@ def _serialize_index(idx: InvertedIndex) -> bytes:
 def _deserialize_index(data: bytes, name: str) -> InvertedIndex:
     if data[:4] != INDEX_MAGIC:
         raise ParseError(f"{name}: not an index file (bad magic)")
+    if len(data) < 5:
+        raise ParseError(f"{name}: truncated index file")
     if data[4] != INDEX_VERSION:
         raise ParseError(f"{name}: unsupported index version {data[4]}")
     off = 5
@@ -306,8 +298,15 @@ def _deserialize_index(data: bytes, name: str) -> InvertedIndex:
             raise ParseError(f"{name}: truncated index section")
         sections.append(data[off:off + length])
         off += length
-    vocab_raw, postings_raw, table_raw = sections
+    try:
+        return _parse_sections(name, *sections)
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        # A section shorter than its counts, or a doc index past the doc table.
+        raise ParseError(f"{name}: malformed index section ({exc})") from None
 
+
+def _parse_sections(name: str, vocab_raw: bytes, postings_raw: bytes,
+                    table_raw: bytes) -> InvertedIndex:
     terms = []
     freqs = []
     off = 4

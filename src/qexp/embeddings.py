@@ -2,9 +2,10 @@
 
 import logging
 import math
-from pathlib import Path
 
 import numpy as np
+
+from qexp.collection import ParseError
 
 log = logging.getLogger(__name__)
 
@@ -44,39 +45,59 @@ class EmbeddingTable:
 def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
     """Load text-format vectors: one line per term, term then d decimals.
 
-    The dimension is inferred from the first line; every later line must
-    match it. With restrict_to, only listed terms are kept (memory control).
+    A first line of exactly two integers N D is a word2vec header: the file
+    must then hold N rows of D components. Without it the dimension is
+    inferred from the first line and every later line must match it. With
+    restrict_to, only listed terms are kept (memory control). Every malformed
+    input raises ParseError.
     """
     keep = None if restrict_to is None else set(restrict_to)
     terms = []
     seen = set()
     rows = []
     dim = None
+    header = None  # (line number, declared row count)
+    count = 0
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split()
             if not parts:
                 continue
+            if dim is None and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                header = (lineno, int(parts[0]))
+                dim = int(parts[1])
+                continue
             term, values = parts[0], parts[1:]
             if dim is None:
                 dim = len(values)
                 if dim == 0:
-                    raise ValueError(f"{path}:{lineno}: no vector components")
+                    raise ParseError(f"{path}:{lineno}: no vector components")
             elif len(values) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: dimension {len(values)} != {dim} from first line")
+                source = "header" if header else "first line"
+                raise ParseError(
+                    f"{path}:{lineno}: dimension {len(values)} != {dim} from {source}")
+            count += 1
             if keep is not None and term not in keep:
                 continue
             if term in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate term {term!r}")
+                raise ParseError(f"{path}:{lineno}: duplicate term {term!r}")
             seen.add(term)
-            rows.append(np.array([float(v) for v in values], dtype=np.float64))
+            try:
+                rows.append(np.array([float(v) for v in values], dtype=np.float64))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric vector component") from None
             terms.append(term)
-    if dim is None:
-        raise ValueError(f"{path}: empty embedding file")
+    if count == 0:
+        raise ParseError(f"{path}: empty embedding file")
+    if header and count != header[1]:
+        raise ParseError(
+            f"{path}:{header[0]}: header declares {header[1]} rows, file holds {count}")
     if not terms:
-        raise ValueError(f"{path}: no terms survived the vocabulary restriction")
-    return EmbeddingTable(terms, np.vstack(rows))
+        raise ParseError(f"{path}: no terms survived the vocabulary restriction")
+    try:
+        return EmbeddingTable(terms, np.vstack(rows))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -4,12 +4,11 @@ import math
 from dataclasses import dataclass, field
 
 from qexp.collection import Qrels
+from qexp.config import Config
 from qexp.retrieval import RankedList
 
-EVAL_DEPTH = 1000
 
-
-def average_precision(ranked: RankedList, qrels: Qrels, depth: int = EVAL_DEPTH) -> float:
+def average_precision(ranked: RankedList, qrels: Qrels, depth: int = Config.depth) -> float:
     """AP = (1/R) * sum over relevant retrieved ranks i of (hits at i / i).
 
     R counts all judged-relevant documents for the query, retrieved or not.
@@ -136,7 +135,7 @@ class EvalResult:
 
     per_query_ap: dict[str, float]
     per_query_p10: dict[str, float]
-    depth: int = EVAL_DEPTH
+    depth: int = Config.depth
 
     @property
     def map(self) -> float:
@@ -151,7 +150,7 @@ class EvalResult:
         return len(self.per_query_ap)
 
 
-def evaluate_rankings(rankings, qrels: Qrels, depth: int = EVAL_DEPTH) -> EvalResult:
+def evaluate_rankings(rankings, qrels: Qrels, depth: int = Config.depth) -> EvalResult:
     """Per-query AP and P@10 for a batch of ranked lists."""
     ap = {}
     p10 = {}

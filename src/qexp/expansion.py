@@ -8,24 +8,20 @@ from dataclasses import dataclass
 from qexp.classifier.inference import ReferenceSet, encode_reference_set, p_good
 from qexp.classifier.network import SiameseModel
 from qexp.collection import InvertedIndex, Topic
+from qexp.config import Config
 from qexp.embeddings import EmbeddingTable, cosine
 from qexp.labeling import scored_candidate_pool
 from qexp.retrieval import QueryModel
 
 log = logging.getLogger(__name__)
 
-DEFAULT_M = 10
-DEFAULT_ALPHA = 1.0
-DEFAULT_BETA = 0.5
-DEFAULT_POOL_SIZE = 1000
-
 
 @dataclass
 class ExpansionConfig:
-    m: int = DEFAULT_M
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    pool_size: int = DEFAULT_POOL_SIZE
+    m: int = Config.m
+    alpha: float = Config.alpha
+    beta: float = Config.beta
+    pool_size: int = Config.pool_size
 
     def __post_init__(self):
         if self.m < 1:
@@ -104,10 +100,13 @@ def eqe1_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
 
     score(x) = prod over query terms w of softmax-normalized exp(cos(x, w)),
     the normalization running over the candidate pool for each query term.
+    An empty pool leaves the unexpanded query.
     """
     pool = scored_candidate_pool(topic, table, idx, cfg.pool_size, stopwords)
     if not pool:
-        raise ValueError(f"query {topic.query_id}: empty candidate pool")
+        log.warning("query %s: empty candidate pool, original query kept",
+                    topic.query_id)
+        return qlm_model(topic)
     pool_terms = [t for t, _ in pool]
     query_terms = [t for t in topic.title_terms if t in table]
     scores = {t: 1.0 for t in pool_terms}
@@ -125,7 +124,7 @@ def eqe1_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
 def dec_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
                model: SiameseModel, refset: ReferenceSet, cfg: ExpansionConfig,
                stopwords=frozenset(), ref_reps=None,
-               symmetric: bool = False) -> QueryModel:
+               symmetric: bool = Config.symmetric_compare) -> QueryModel:
     """Reweight the centroid-based selection by predicted term goodness.
 
     Each of the same top-m terms the centroid method selects gets weight
@@ -145,12 +144,3 @@ def dec_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
                       ref_reps=ref_reps, symmetric=symmetric)
         reweighted.append((term, (1.0 + cfg.alpha * prob) * sim))
     return interpolate(topic, _normalize(reweighted), cfg.beta)
-
-
-def export_weights_tsv(models, path):
-    """query_id, term, weight rows for inspection."""
-    with open(path, "w") as f:
-        f.write("query_id\tterm\tweight\n")
-        for qm in models:
-            for term in sorted(qm.weights, key=lambda t: (-qm.weights[t], t)):
-                f.write(f"{qm.query_id}\t{term}\t{qm.weights[term]!r}\n")

@@ -9,8 +9,9 @@ import numpy as np
 from qexp.classifier.inference import build_reference_set, encode_reference_set
 from qexp.classifier.training import TrainConfig, train
 from qexp.collection import InvertedIndex, Qrels
+from qexp.config import Config
 from qexp.embeddings import EmbeddingTable
-from qexp.evaluation import EVAL_DEPTH, Comparison, EvalResult, evaluate_rankings
+from qexp.evaluation import Comparison, EvalResult, evaluate_rankings
 from qexp.expansion import (
     ExpansionConfig,
     awe_expand,
@@ -19,7 +20,7 @@ from qexp.expansion import (
     qlm_model,
 )
 from qexp.labeling import LabeledDataset
-from qexp.retrieval import DEFAULT_MU, retrieve
+from qexp.retrieval import retrieve
 
 log = logging.getLogger(__name__)
 
@@ -54,13 +55,14 @@ def partition_folds(query_ids, k: int, rng: np.random.Generator) -> list[list[st
 
 
 def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTable,
-                   dataset: LabeledDataset | None, methods=METHODS, folds: int = 5,
-                   seed: int = 0, expansion_cfg: ExpansionConfig | None = None,
-                   train_cfg: TrainConfig | None = None, refset_size: int = 100,
-                   hidden: int = 200, rep: int = 400, pooling: str = "last",
-                   stopwords=frozenset(), mu: float = DEFAULT_MU,
-                   depth: int = EVAL_DEPTH,
-                   symmetric_compare: bool = False) -> ExperimentResult:
+                   dataset: LabeledDataset | None, methods=METHODS,
+                   folds: int = Config.folds, seed: int = Config.seed,
+                   expansion_cfg: ExpansionConfig | None = None,
+                   train_cfg: TrainConfig | None = None,
+                   refset_size: int = Config.refset_size, hidden: int = Config.hidden,
+                   rep: int = Config.rep, pooling: str = Config.pooling,
+                   stopwords=frozenset(), mu: float = Config.mu, depth: int = Config.depth,
+                   symmetric_compare: bool = Config.symmetric_compare) -> ExperimentResult:
     """Evaluate methods on seeded k-fold splits; pool per-query metrics.
 
     The classifier method trains one model per fold on the other folds'
@@ -129,7 +131,8 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
 
 
 def build_query_model(method, topic, table, idx, cfg, stopwords=frozenset(),
-                      model=None, refset=None, ref_reps=None, symmetric=False):
+                      model=None, refset=None, ref_reps=None,
+                      symmetric=Config.symmetric_compare):
     """Produce the weighted query a single method would retrieve with."""
     if method == "qlm":
         return qlm_model(topic)

@@ -13,14 +13,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from qexp.collection import InvertedIndex, Qrels, Topic
+from qexp.config import Config
 from qexp.embeddings import EmbeddingTable, centroid, top_k_neighbors
-from qexp.evaluation import EVAL_DEPTH, average_precision
-from qexp.retrieval import DEFAULT_MU, QueryModel, retrieve
+from qexp.evaluation import average_precision
+from qexp.retrieval import QueryModel, retrieve
 
 log = logging.getLogger(__name__)
-
-DEFAULT_EPS = 0.0005
-DEFAULT_POOL_SIZE = 1000
 
 
 class Label(enum.Enum):
@@ -99,7 +97,7 @@ class LabeledDataset:
                 raise ValueError(f"{path}:1: missing metadata header line")
             meta = json.loads(header[1:])
             queries = meta.pop("queries", {})
-            eps = meta.get("eps", DEFAULT_EPS)
+            eps = meta.get("eps", Config.eps)
             examples = []
             for lineno, line in enumerate(f, start=2):
                 if not line.strip():
@@ -121,13 +119,19 @@ class LabeledDataset:
 
 
 def scored_candidate_pool(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
-                          pool_size: int = DEFAULT_POOL_SIZE,
+                          pool_size: int = Config.pool_size,
                           stopwords=frozenset()) -> list[tuple[str, float]]:
     """Nearest index terms to the query centroid with their cosines, descending.
 
     Query terms and stopwords are excluded; terms absent from the index
-    cannot change any ranking, so they are filtered out as well.
+    cannot change any ranking, so they are filtered out as well. A query
+    with no title term in the embedding vocabulary has no centroid and an
+    empty pool.
     """
+    if not any(t in table for t in topic.title_terms):
+        log.warning("query %s: no title term in the embedding vocabulary, "
+                    "empty candidate pool", topic.query_id)
+        return []
     center = centroid(topic.title_terms, table)
     exclude = set(topic.title_terms) | set(stopwords)
     neighbors = top_k_neighbors(center, len(table), table, exclude=exclude)
@@ -135,38 +139,22 @@ def scored_candidate_pool(topic: Topic, table: EmbeddingTable, idx: InvertedInde
     return pool[:pool_size]
 
 
-def candidate_pool(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
-                   pool_size: int = DEFAULT_POOL_SIZE,
-                   stopwords=frozenset()) -> list[str]:
-    """Candidate terms only; see scored_candidate_pool for the scored variant."""
-    return [term for term, _ in
-            scored_candidate_pool(topic, table, idx, pool_size, stopwords)]
-
-
-def expanded_model(topic: Topic, extra_terms) -> QueryModel:
-    """Title terms at their counts plus each extra term at weight 1."""
-    weights: dict[str, float] = {}
-    for t in topic.title_terms:
-        weights[t] = weights.get(t, 0.0) + 1.0
-    for t in extra_terms:
-        weights[t] = weights.get(t, 0.0) + 1.0
-    return QueryModel(topic.query_id, weights)
-
-
 def baseline_ap(topic: Topic, idx: InvertedIndex, qrels: Qrels,
-                mu: float = DEFAULT_MU, depth: int = EVAL_DEPTH) -> float:
-    ranked = retrieve(expanded_model(topic, ()), idx, mu, depth)
+                mu: float = Config.mu, depth: int = Config.depth) -> float:
+    ranked = retrieve(QueryModel.from_terms(topic.query_id, topic.title_terms),
+                      idx, mu, depth)
     return average_precision(ranked, qrels, depth)
 
 
 def label_term(topic: Topic, term: str, idx: InvertedIndex, qrels: Qrels,
-               mu: float = DEFAULT_MU, eps: float = DEFAULT_EPS,
+               mu: float = Config.mu, eps: float = Config.eps,
                base_ap: float | None = None,
-               depth: int = EVAL_DEPTH) -> tuple[Label, float]:
+               depth: int = Config.depth) -> tuple[Label, float]:
     """Label one candidate by the AP change of the expanded query."""
     if base_ap is None:
         base_ap = baseline_ap(topic, idx, qrels, mu, depth)
-    ranked = retrieve(expanded_model(topic, [term]), idx, mu, depth)
+    expanded = QueryModel.from_terms(topic.query_id, [*topic.title_terms, term])
+    ranked = retrieve(expanded, idx, mu, depth)
     ap = average_precision(ranked, qrels, depth)
     delta = ap - base_ap
     return label_for_delta(delta, eps), delta
@@ -184,7 +172,7 @@ def _label_query(topic: Topic) -> list[LabeledExample]:
     idx, qrels, table, pool_size, eps, mu, depth, stopwords = _WORKER_CTX
     base = baseline_ap(topic, idx, qrels, mu, depth)
     examples = []
-    for term in candidate_pool(topic, table, idx, pool_size, stopwords):
+    for term, _ in scored_candidate_pool(topic, table, idx, pool_size, stopwords):
         label, delta = label_term(topic, term, idx, qrels, mu, eps, base, depth)
         examples.append(LabeledExample(topic.query_id, topic.title_terms, term,
                                        label, delta))
@@ -192,8 +180,8 @@ def _label_query(topic: Topic) -> list[LabeledExample]:
 
 
 def build_dataset(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTable,
-                  pool_size: int = DEFAULT_POOL_SIZE, eps: float = DEFAULT_EPS,
-                  mu: float = DEFAULT_MU, depth: int = EVAL_DEPTH,
+                  pool_size: int = Config.pool_size, eps: float = Config.eps,
+                  mu: float = Config.mu, depth: int = Config.depth,
                   stopwords=frozenset(), workers: int = 1) -> LabeledDataset:
     """Label every (query, pool candidate) pair; deterministic order.
 
@@ -230,7 +218,7 @@ def build_dataset(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTabl
 
 
 def oracle_run(dataset: LabeledDataset, topics, idx: InvertedIndex, qrels: Qrels,
-               mu: float = DEFAULT_MU, depth: int = EVAL_DEPTH) -> tuple[dict, float]:
+               mu: float = Config.mu, depth: int = Config.depth) -> tuple[dict, float]:
     """Expand each query with all its good-labeled terms and evaluate AP.
 
     Returns (per-query AP map, MAP) over the dataset's queries.
@@ -240,7 +228,8 @@ def oracle_run(dataset: LabeledDataset, topics, idx: InvertedIndex, qrels: Qrels
     for topic in topics:
         if topic.query_id not in labeled_qids:
             continue
-        model = expanded_model(topic, dataset.good_terms(topic.query_id))
+        model = QueryModel.from_terms(
+            topic.query_id, [*topic.title_terms, *dataset.good_terms(topic.query_id)])
         ranked = retrieve(model, idx, mu, depth)
         per_query[topic.query_id] = average_precision(ranked, qrels, depth)
     if not per_query:
@@ -249,8 +238,8 @@ def oracle_run(dataset: LabeledDataset, topics, idx: InvertedIndex, qrels: Qrels
 
 
 def dataset_statistics(dataset: LabeledDataset, topics, idx: InvertedIndex,
-                       qrels: Qrels, mu: float = DEFAULT_MU,
-                       depth: int = EVAL_DEPTH) -> dict:
+                       qrels: Qrels, mu: float = Config.mu,
+                       depth: int = Config.depth) -> dict:
     """Class ratio and oracle-vs-baseline summary for a labeled dataset."""
     counts = dataset.class_counts()
     total = len(dataset)

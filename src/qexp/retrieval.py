@@ -2,12 +2,9 @@
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from qexp.collection import InvertedIndex, ParseError
-
-DEFAULT_MU = 1000.0
-DEFAULT_DEPTH = 1000
+from qexp.config import Config
 
 
 @dataclass
@@ -28,14 +25,11 @@ class QueryModel:
             raise ValueError(f"query {self.query_id}: no positive term weight")
 
     @classmethod
-    def from_terms(cls, query_id: str, terms, normalize: bool = False) -> "QueryModel":
-        """Build from a token list; weights are term counts, optionally normalized."""
+    def from_terms(cls, query_id: str, terms) -> "QueryModel":
+        """Build from a token list; weights are term counts."""
         weights: dict[str, float] = {}
         for t in terms:
             weights[t] = weights.get(t, 0.0) + 1.0
-        if normalize:
-            total = sum(weights.values())
-            weights = {t: w / total for t, w in weights.items()}
         return cls(query_id, weights)
 
 
@@ -76,8 +70,8 @@ def qlm_score(q: QueryModel, doc_id: str, idx: InvertedIndex, mu: float) -> floa
     return score
 
 
-def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = DEFAULT_MU,
-             depth: int = DEFAULT_DEPTH) -> RankedList:
+def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
+             depth: int = Config.depth) -> RankedList:
     """Score and rank every document sharing at least one query term.
 
     Documents without any query term tie below all matching documents at the

@@ -75,6 +75,17 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_model(trailing)
 
 
+def test_load_rejects_every_proper_prefix(tmp_path):
+    good = tmp_path / "good.qxdm"
+    save_model(SiameseModel(4, 3, 4, np.random.default_rng(0)), good, seed=0)
+    raw = good.read_bytes()
+    cut_file = tmp_path / "cut.qxdm"
+    for cut in range(len(raw)):
+        cut_file.write_bytes(raw[:cut])
+        with pytest.raises(ParseError, match="cut.qxdm"):
+            load_model(cut_file)
+
+
 def test_loss_csv_format(tmp_path):
     path = tmp_path / "loss.csv"
     write_loss_csv([(0, 0, 0.6931471805599453), (0, 1, 0.5), (1, 0, 0.25)], path)

@@ -157,6 +157,11 @@ def test_error_exit_codes(tmp_path, capsys):
     assert _run("label", "--set", f"topics={TOPICS}", "--set", f"qrels={QRELS}",
                 "--embeddings", VECTORS, *out) == 1
     assert "index.qxix" in capsys.readouterr().err
+    # malformed input files: exit 2, naming the file
+    (tmp_path / "index.qxix").write_bytes(b"QXIX")
+    assert _run("label", "--set", f"topics={TOPICS}", "--set", f"qrels={QRELS}",
+                "--embeddings", VECTORS, *out) == 2
+    assert "index.qxix: truncated" in capsys.readouterr().err
     # argparse rejects unknown methods on its own
     with pytest.raises(SystemExit):
         _run("expand", "--method", "bm25", *out)

@@ -5,6 +5,7 @@ import pytest
 from qexp.collection import (
     InvertedIndex,
     ParseError,
+    Qrels,
     build_index,
     ingest_trec_docs,
     load_qrels,
@@ -125,6 +126,48 @@ def test_index_load_errors(mini_index, tmp_path):
         InvertedIndex.load(bad)
 
 
+def _framed(sections):
+    out = bytearray(b"QXIX\x01")
+    for section in sections:
+        out += len(section).to_bytes(8, "little") + section
+    return bytes(out)
+
+
+def _sections(data):
+    sections, off = [], 5
+    for _ in range(3):
+        length = int.from_bytes(data[off:off + 8], "little")
+        sections.append(data[off + 8:off + 8 + length])
+        off += 8 + length
+    return sections
+
+
+def test_index_load_malformed_raises_parse_error(mini_index, tmp_path):
+    p = tmp_path / "x.qxix"
+    mini_index.save(p)
+    data = p.read_bytes()
+    bad = tmp_path / "bad.qxix"
+    for cut in range(len(data)):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ParseError, match="bad.qxix"):
+            InvertedIndex.load(bad)
+
+    vocab, postings, table = _sections(data)
+    # each section correctly framed but shorter than its counts
+    for broken in ([vocab[:-3], postings, table], [vocab, postings[:-4], table],
+                   [vocab, postings, table[:-3]]):
+        bad.write_bytes(_framed(broken))
+        with pytest.raises(ParseError, match="bad.qxix"):
+            InvertedIndex.load(bad)
+
+    # the first posting's doc index points past the doc table
+    n_docs = int.from_bytes(table[:4], "little")
+    postings = postings[:4] + n_docs.to_bytes(4, "little") + postings[8:]
+    bad.write_bytes(_framed([vocab, postings, table]))
+    with pytest.raises(ParseError, match="bad.qxix"):
+        InvertedIndex.load(bad)
+
+
 def test_load_topics(mini_topics, caplog):
     assert [t.query_id for t in mini_topics] == ["701", "702"]
     assert mini_topics[0].title_terms == ["solar", "energy", "cost"]
@@ -155,12 +198,19 @@ def test_load_qrels(mini_qrels):
     assert mini_qrels.relevant_docs("701") == {"D01", "D02", "D08"}
     assert mini_qrels.num_relevant("701") == 3
     assert mini_qrels.relevant_docs("702") == {"D03", "D07"}
-    assert mini_qrels.grade("701", "D08") == 2
-    assert mini_qrels.grade("701", "D03") == 0
-    assert mini_qrels.grade("701", "NOPE") == 0
     assert mini_qrels.is_relevant("701", "D01")
-    assert not mini_qrels.is_relevant("701", "D03")
-    assert len(mini_qrels) == 7
+    assert mini_qrels.is_relevant("701", "D08")  # grade 2
+    assert not mini_qrels.is_relevant("701", "D03")  # judged, grade 0
+    assert not mini_qrels.is_relevant("701", "NOPE")
+
+
+def test_qrels_pair_judged_twice_is_relevant_if_any_row_is():
+    for grades in ((1, 0), (0, 1)):
+        qrels = Qrels()
+        for grade in grades:
+            qrels.add("1", "d1", grade)
+        assert qrels.is_relevant("1", "d1")
+        assert qrels.num_relevant("1") == 1
 
 
 def test_load_qrels_errors(tmp_path):

@@ -1,9 +1,15 @@
 """Configuration defaults, file parsing, and override precedence."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from qexp.config import (Config, ConfigError, env_overrides, load_config,
+from qexp.config import (Config, ConfigError, _coerce, env_overrides, load_config,
                          parse_config_file)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_defaults():
@@ -33,6 +39,20 @@ def test_defaults():
     assert cfg.workers == 0
     assert cfg.resolved_workers() >= 1
     assert Config(workers=3).resolved_workers() == 3
+
+
+def test_readme_table_matches_config_defaults():
+    text = README.read_text()
+    table = text[text.index("| key | default | meaning |"):].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \|", table, re.MULTILINE)
+    assert [key for key, _ in rows] == [f.name for f in fields(Config)]
+    assert len(rows) == 28
+    for key, shown in rows:
+        if shown in ("—", "bundled list"):
+            raw = ""
+        else:
+            raw = re.fullmatch(r"`([^`]*)`", shown).group(1)
+        assert _coerce(key, raw) == getattr(Config, key), key
 
 
 def test_parse_config_file(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qexp.collection import ParseError
 from qexp.embeddings import (
     EmbeddingTable,
     centroid,
@@ -35,26 +36,49 @@ def test_load_restrict(tmp_path):
     p.write_text("a 1 0\nb 0 1\nc 1 1\n")
     table = load_embeddings(p, restrict_to={"a", "c", "nothere"})
     assert table.terms == ["a", "c"]
-    with pytest.raises(ValueError, match="survived"):
+    with pytest.raises(ParseError, match="survived"):
         load_embeddings(p, restrict_to={"nothere"})
 
 
 def test_load_errors(tmp_path):
     p = tmp_path / "v.txt"
     p.write_text("a 1 0\nb 0 1 7\n")
-    with pytest.raises(ValueError, match=r"v\.txt:2: dimension 3 != 2"):
+    with pytest.raises(ParseError, match=r"v\.txt:2: dimension 3 != 2"):
         load_embeddings(p)
     p.write_text("a 1 0\na 0 1\n")
-    with pytest.raises(ValueError, match=r"v\.txt:2: duplicate term 'a'"):
+    with pytest.raises(ParseError, match=r"v\.txt:2: duplicate term 'a'"):
         load_embeddings(p)
     p.write_text("")
-    with pytest.raises(ValueError, match="empty embedding file"):
+    with pytest.raises(ParseError, match="empty embedding file"):
         load_embeddings(p)
     p.write_text("lonely\n")
-    with pytest.raises(ValueError, match="no vector components"):
+    with pytest.raises(ParseError, match="no vector components"):
         load_embeddings(p)
     p.write_text("a 1 notanumber\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match=r"v\.txt:1: non-numeric"):
+        load_embeddings(p)
+    p.write_text("a 0 0\n")
+    with pytest.raises(ParseError, match="non-zero vector"):
+        load_embeddings(p)
+
+
+def test_load_word2vec_header(tmp_path):
+    p = tmp_path / "v.txt"
+    p.write_text("2 3\na 1 2 3\nb 4 5 6\n")
+    table = load_embeddings(p)
+    assert table.terms == ["a", "b"]
+    assert table.dim == 3
+    assert np.array_equal(table.vector("b"), [4.0, 5.0, 6.0])
+    assert load_embeddings(p, restrict_to={"b"}).terms == ["b"]
+
+    p.write_text("2 3\na 1 2 3\nb 4 5\n")
+    with pytest.raises(ParseError, match=r"v\.txt:3: dimension 2 != 3 from header"):
+        load_embeddings(p)
+    p.write_text("3 3\na 1 2 3\nb 4 5 6\n")
+    with pytest.raises(ParseError, match=r"v\.txt:1: header declares 3 rows, file holds 2"):
+        load_embeddings(p)
+    p.write_text("1 3\na 1 2 3\nb 4 5 6\n")
+    with pytest.raises(ParseError, match=r"v\.txt:1: header declares 1 rows, file holds 2"):
         load_embeddings(p)
 
 

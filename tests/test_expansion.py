@@ -16,11 +16,11 @@ from qexp.expansion import (
     awe_selection,
     dec_expand,
     eqe1_expand,
-    export_weights_tsv,
     interpolate,
     qlm_model,
 )
 from qexp.labeling import Label, LabeledDataset, LabeledExample
+from qexp.retrieval import retrieve, write_run
 
 
 @pytest.fixture()
@@ -151,11 +151,20 @@ def test_eqe1_multiplies_across_query_terms():
         assert qm.weights[t] == pytest.approx(0.5 * score[t] / total, rel=1e-12)
 
 
-def test_eqe1_empty_pool_is_error():
+@pytest.mark.parametrize("beta", [0.5, 0.0])
+def test_eqe1_empty_pool_keeps_original_query(tmp_path, beta):
     table = EmbeddingTable(["q"], np.array([[1.0, 0.0]]))
-    idx = build_index([Document("d1", ["q"])])
-    with pytest.raises(ValueError, match="empty candidate pool"):
-        eqe1_expand(Topic("t1", ["q"]), table, idx, ExpansionConfig())
+    idx = build_index([Document("d1", ["q"]), Document("d2", ["q", "q", "x"])])
+    topic = Topic("t1", ["q"])
+    cfg = ExpansionConfig(beta=beta)
+
+    def run_bytes(qm, name):
+        path = tmp_path / name
+        write_run([retrieve(qm, idx)], path)
+        return path.read_bytes()
+
+    expected = run_bytes(qlm_model(topic), "qlm.txt")
+    assert run_bytes(eqe1_expand(topic, table, idx, cfg), "eqe1.txt") == expected
 
 
 @pytest.fixture()
@@ -195,14 +204,3 @@ def test_dec_symmetric_mode_runs(dec_setup):
     cfg = ExpansionConfig(m=3, pool_size=10)
     qm = dec_expand(topic, table, idx, model, refset, cfg, symmetric=True)
     assert sum(qm.weights.values()) == pytest.approx(1.0)
-
-
-def test_export_weights_tsv(tmp_path, world):
-    topic, table, idx = world
-    qm = awe_expand(topic, table, idx, ExpansionConfig(m=2, pool_size=10))
-    path = tmp_path / "w.tsv"
-    export_weights_tsv([qm], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "query_id\tterm\tweight"
-    assert all(len(line.split("\t")) == 3 for line in lines[1:])
-    assert lines[1].split("\t")[0] == "t1"

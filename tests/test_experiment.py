@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from qexp.classifier.training import TrainConfig
+from qexp.collection import Topic
 from qexp.evaluation import Comparison, EvalResult, evaluate_rankings
 from qexp.experiment import (ExperimentResult, _sig_markers, build_query_model,
                              cross_validate, format_report, partition_folds,
                              per_query_csv, report_tsv)
 from qexp.expansion import ExpansionConfig, qlm_model
-from qexp.labeling import Label, LabeledDataset, LabeledExample
+from qexp.labeling import Label, LabeledDataset, LabeledExample, build_dataset
 from qexp.retrieval import retrieve
+
+from synthworld import mismatch_world
 
 
 def test_partition_folds_covers_each_query_once():
@@ -100,6 +103,19 @@ def test_cv_validation_errors(mini_topics, mini_index, mini_qrels, tiny_table,
         cross_validate(mini_topics, mini_index, mini_qrels, tiny_table,
                        one_query, methods=("qlm", "dec"), folds=2,
                        stopwords=stopwords)
+
+
+def test_topic_without_embedded_title_term_is_kept_unexpanded():
+    topics, idx, qrels, table = mismatch_world()
+    topics.append(Topic("zz", ["bgt1", "bgt2"]))  # in the index, not in the table
+    qrels.add("zz", "bg00", 1)
+    dataset = build_dataset(topics, idx, qrels, table)
+    assert "zz" not in {ex.query_id for ex in dataset.examples}
+    result = cross_validate(topics, idx, qrels, table, None,
+                            methods=("qlm", "awe", "eqe1"), folds=2,
+                            expansion_cfg=ExpansionConfig(pool_size=12))
+    aps = {m: result.results[m].per_query_ap["zz"] for m in ("qlm", "awe", "eqe1")}
+    assert aps["awe"] == aps["eqe1"] == aps["qlm"]
 
 
 def test_build_query_model_dispatch(mini_topics, mini_index, tiny_table,

@@ -11,9 +11,7 @@ from qexp.labeling import (
     LabeledExample,
     baseline_ap,
     build_dataset,
-    candidate_pool,
     dataset_statistics,
-    expanded_model,
     label_for_delta,
     label_term,
     oracle_run,
@@ -67,12 +65,6 @@ def test_label_for_delta_boundaries():
     assert label_for_delta(-0.3, EPS) is Label.BAD
 
 
-def test_expanded_model_weights():
-    topic = Topic("q", ["x", "y", "x"])
-    qm = expanded_model(topic, ["z", "y"])
-    assert qm.weights == {"x": 2.0, "y": 2.0, "z": 1.0}
-
-
 def test_planted_baseline(planted):
     topic, idx, qrels = planted
     # baseline order: m1 (tf 2), a2 (shorter doc), a1, m2 -> AP (1/1 + 2/4)/2
@@ -104,9 +96,11 @@ def test_candidate_pool_filters(planted, planted_table):
     sims = [s for _, s in pool]
     assert sims == sorted(sims, reverse=True)
 
-    assert candidate_pool(topic, planted_table, idx, pool_size=2) == ["boost", "trap"]
-    assert candidate_pool(topic, planted_table, idx,
-                          stopwords={"pad"}) == ["boost", "trap"]
+    def terms(**kwargs):
+        return [t for t, _ in scored_candidate_pool(topic, planted_table, idx, **kwargs)]
+
+    assert terms(pool_size=2) == ["boost", "trap"]
+    assert terms(stopwords={"pad"}) == ["boost", "trap"]
 
 
 def test_build_dataset(planted, planted_table):

@@ -13,12 +13,13 @@ Checkpoint layout (magic ``QXDM``, version 1, little-endian):
                (shapes are implied by d, h, r)
 """
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from qexp.classifier.network import PARAM_ORDER, SiameseModel
+from qexp.classifier.network import PARAM_ORDER, SiameseModel, param_shapes
 from qexp.collection import ParseError
 
 MODEL_MAGIC = b"QXDM"
@@ -54,19 +55,18 @@ def load_model(path) -> tuple[SiameseModel, int]:
     pooling = _POOLING_NAMES[data[5]]
     d, h, r = struct.unpack_from("<III", data, 6)
     (seed,) = struct.unpack_from("<Q", data, 18)
+    shapes = param_shapes(d, h, r)
+    expected = _HEADER_SIZE + 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(data) < expected:
+        raise ParseError(f"{path}: truncated checkpoint, header implies {expected} bytes")
+    if len(data) > expected:
+        raise ParseError(f"{path}: {len(data) - expected} trailing bytes in checkpoint")
     model = SiameseModel(d, h, r, np.random.default_rng(0), pooling)
     off = _HEADER_SIZE
-    for name in PARAM_ORDER:
-        shape = model.params[name].shape
-        count = int(np.prod(shape))
-        end = off + 8 * count
-        if end > len(data):
-            raise ParseError(f"{path}: truncated checkpoint at tensor {name}")
-        model.params[name] = np.frombuffer(
-            data[off:end], dtype="<f8").reshape(shape).copy()
-        off = end
-    if off != len(data):
-        raise ParseError(f"{path}: {len(data) - off} trailing bytes in checkpoint")
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        model.params[name] = np.frombuffer(data, "<f8", count, off).reshape(shape).copy()
+        off += 8 * count
     return model, seed
 
 

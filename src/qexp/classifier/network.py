@@ -16,12 +16,18 @@ import numpy as np
 
 from qexp.config import Config
 
-PARAM_ORDER = (
-    "fwd.W", "fwd.U", "fwd.b",
-    "bwd.W", "bwd.U", "bwd.b",
-    "repr.W", "repr.b",
-    "cmp.W", "cmp.b",
-)
+
+def param_shapes(d: int, h: int, r: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every trainable tensor, in the network's declared parameter order."""
+    return {
+        "fwd.W": (d, 4 * h), "fwd.U": (h, 4 * h), "fwd.b": (4 * h,),
+        "bwd.W": (d, 4 * h), "bwd.U": (h, 4 * h), "bwd.b": (4 * h,),
+        "repr.W": (2 * h, r), "repr.b": (r,),
+        "cmp.W": (r, 2), "cmp.b": (2,),
+    }
+
+
+PARAM_ORDER = tuple(param_shapes(0, 0, 0))
 
 INIT_SCALE = 0.08
 # Probability column conventions of the comparison head.
@@ -58,22 +64,10 @@ class SiameseModel:
         self.hidden = hidden
         self.rep = rep
         self.pooling = pooling
-        d, h, r = dim, hidden, rep
-
-        def u(shape):
-            return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-
-        self.params = {}
-        for direction in ("fwd", "bwd"):
-            self.params[f"{direction}.W"] = u((d, 4 * h))
-            self.params[f"{direction}.U"] = u((h, 4 * h))
-            b = u(4 * h)
-            b[h:2 * h] = 1.0  # forget-gate bias starts open
-            self.params[f"{direction}.b"] = b
-        self.params["repr.W"] = u((2 * h, r))
-        self.params["repr.b"] = u(r)
-        self.params["cmp.W"] = u((r, 2))
-        self.params["cmp.b"] = u(2)
+        self.params = {name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+                       for name, shape in param_shapes(dim, hidden, rep).items()}
+        for direction in ("fwd", "bwd"):  # forget-gate bias starts open
+            self.params[f"{direction}.b"][hidden:2 * hidden] = 1.0
 
     def zero_grads(self) -> dict:
         return {name: np.zeros_like(p) for name, p in self.params.items()}

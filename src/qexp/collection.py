@@ -108,12 +108,6 @@ class InvertedIndex:
         except KeyError:
             raise KeyError(f"unknown doc_id {doc_id!r}") from None
 
-    def term_freq(self, term: str, doc_id: str) -> int:
-        for d, tf in self.postings.get(term, ()):
-            if d == doc_id:
-                return tf
-        return 0
-
     def collection_prob(self, term: str) -> float:
         """Maximum-likelihood probability of the term in the whole collection."""
         if self.total_tokens == 0:

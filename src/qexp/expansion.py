@@ -90,7 +90,7 @@ def awe_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
     if not selection:
         log.warning("query %s: empty expansion selection, original query kept",
                     topic.query_id)
-        return interpolate(topic, {}, cfg.beta)
+        return qlm_model(topic)
     return interpolate(topic, _normalize(selection), cfg.beta)
 
 
@@ -135,7 +135,7 @@ def dec_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
     if not selection:
         log.warning("query %s: empty expansion selection, original query kept",
                     topic.query_id)
-        return interpolate(topic, {}, cfg.beta)
+        return qlm_model(topic)
     if ref_reps is None:
         ref_reps = encode_reference_set(model, refset, table)
     reweighted = []

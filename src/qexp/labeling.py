@@ -12,7 +12,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from qexp.collection import InvertedIndex, Qrels, Topic
+from qexp.collection import InvertedIndex, ParseError, Qrels, Topic
 from qexp.config import Config
 from qexp.embeddings import EmbeddingTable, centroid, top_k_neighbors
 from qexp.evaluation import average_precision
@@ -90,30 +90,51 @@ class LabeledDataset:
 
     @classmethod
     def load_tsv(cls, path) -> "LabeledDataset":
+        """Read what save_tsv writes; a malformed line raises ParseError naming it."""
         path = Path(path)
         with open(path) as f:
             header = f.readline()
             if not header.startswith("#"):
-                raise ValueError(f"{path}:1: missing metadata header line")
-            meta = json.loads(header[1:])
+                raise ParseError(f"{path}:1: missing metadata header line")
+            try:
+                meta = json.loads(header[1:])
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:1: bad JSON in metadata header ({exc})") from None
+            if not isinstance(meta, dict):
+                raise ParseError(f"{path}:1: metadata header is not a JSON object")
             queries = meta.pop("queries", {})
             eps = meta.get("eps", Config.eps)
+            if type(eps) not in (int, float):
+                raise ParseError(f"{path}:1: eps {eps!r} is not a number")
+            if not isinstance(queries, dict) or not all(
+                    isinstance(terms, list) for terms in queries.values()):
+                raise ParseError(f"{path}:1: queries must map query ids to term lists")
             examples = []
+            seen = set()
             for lineno, line in enumerate(f, start=2):
                 if not line.strip():
                     continue
+                where = f"{path}:{lineno}"
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 4:
-                    raise ValueError(f"{path}:{lineno}: expected 4 columns")
+                    raise ParseError(f"{where}: expected 4 columns, got {len(parts)}")
                 qid, term, label_s, delta_s = parts
-                label = Label(label_s)
-                delta = float(delta_s)
+                try:
+                    label = Label(label_s)
+                except ValueError:
+                    raise ParseError(f"{where}: unknown label {label_s!r}") from None
+                try:
+                    delta = float(delta_s)
+                except ValueError:
+                    raise ParseError(f"{where}: ap_delta {delta_s!r} is not a number") from None
                 if label is not label_for_delta(delta, eps):
-                    raise ValueError(
-                        f"{path}:{lineno}: label {label_s} inconsistent with "
-                        f"ap_delta {delta} at eps {eps}")
+                    raise ParseError(f"{where}: label {label_s} inconsistent with "
+                                     f"ap_delta {delta} at eps {eps}")
                 if qid not in queries:
-                    raise ValueError(f"{path}:{lineno}: query {qid} missing from header")
+                    raise ParseError(f"{where}: query {qid} missing from header")
+                if (qid, term) in seen:
+                    raise ParseError(f"{where}: duplicate row for query {qid} term {term!r}")
+                seen.add((qid, term))
                 examples.append(LabeledExample(qid, list(queries[qid]), term, label, delta))
         return cls(examples, meta)
 

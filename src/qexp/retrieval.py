@@ -48,44 +48,32 @@ class RankedList:
         return len(self.entries)
 
 
-def qlm_score(q: QueryModel, doc_id: str, idx: InvertedIndex, mu: float) -> float:
-    """Dirichlet-smoothed log query likelihood of one document.
+def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
+             depth: int = Config.depth) -> RankedList:
+    """Rank every document sharing a query term by Dirichlet-smoothed query likelihood.
 
-    score = sum_w weight(w) * log((tf(w,d) + mu*p(w|C)) / (|d| + mu));
-    terms with zero collection probability contribute nothing.
+    score(d) = sum_w weight(w) * log((tf(w,d) + mu*p(w|C)) / (|d| + mu)),
+    accumulated term at a time in sorted term order, reading each term's
+    posting list once. Terms with zero collection probability contribute
+    nothing. Documents without any query term tie below all matching
+    documents at the depths used, so they are never candidates.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    dlen = idx.doc_length(doc_id)
-    score = 0.0
-    for term in sorted(q.weights):
-        w = q.weights[term]
-        if w == 0.0:
-            continue
-        p_c = idx.collection_prob(term)
-        if p_c == 0.0:
-            continue
-        tf = idx.term_freq(term, doc_id)
-        score += w * math.log((tf + mu * p_c) / (dlen + mu))
-    return score
-
-
-def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
-             depth: int = Config.depth) -> RankedList:
-    """Score and rank every document sharing at least one query term.
-
-    Documents without any query term tie below all matching documents at the
-    depths used, so they are never candidates.
-    """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    candidates: set[str] = set()
-    for term, w in q.weights.items():
-        if w > 0.0 and term in idx.postings:
-            candidates.update(doc_id for doc_id, _ in idx.postings[term])
-    scored = [(doc_id, qlm_score(q, doc_id, idx, mu)) for doc_id in sorted(candidates)]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return RankedList(q.query_id, scored[:depth])
+    terms = sorted(t for t, w in q.weights.items()
+                   if w > 0.0 and idx.collection_prob(t) > 0.0)
+    tfs = [dict(idx.postings[t]) for t in terms]
+    scores = dict.fromkeys(set().union(*tfs), 0.0)
+    for term, term_tfs in zip(terms, tfs):
+        w = q.weights[term]
+        smoothing = mu * idx.collection_prob(term)
+        for doc_id in scores:
+            scores[doc_id] += w * math.log(
+                (term_tfs.get(doc_id, 0) + smoothing) / (idx.doc_lengths[doc_id] + mu))
+    ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
+    return RankedList(q.query_id, ranked[:depth])
 
 
 def write_run(ranked_lists, path, tag: str = "qexp"):

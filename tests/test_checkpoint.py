@@ -1,5 +1,7 @@
 """Binary model checkpoints and loss-history CSV."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,15 @@ def test_load_rejects_every_proper_prefix(tmp_path):
         cut_file.write_bytes(raw[:cut])
         with pytest.raises(ParseError, match="cut.qxdm"):
             load_model(cut_file)
+
+
+def test_load_checks_length_before_allocating(tmp_path):
+    # a bare header declaring tensors of ~2^66 floats each
+    big = 2**32 - 1
+    path = tmp_path / "huge.qxdm"
+    path.write_bytes(MODEL_MAGIC + bytes([1, 0]) + struct.pack("<IIIQ", big, big, big, 0))
+    with pytest.raises(ParseError, match="truncated checkpoint, header implies"):
+        load_model(path)
 
 
 def test_loss_csv_format(tmp_path):

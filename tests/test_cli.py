@@ -162,6 +162,9 @@ def test_error_exit_codes(tmp_path, capsys):
     assert _run("label", "--set", f"topics={TOPICS}", "--set", f"qrels={QRELS}",
                 "--embeddings", VECTORS, *out) == 2
     assert "index.qxix: truncated" in capsys.readouterr().err
+    (tmp_path / "dataset.tsv").write_text("# [1, 2]\n")
+    assert _run("train", "--embeddings", VECTORS, *out) == 2
+    assert "dataset.tsv:1: metadata header is not a JSON object" in capsys.readouterr().err
     # argparse rejects unknown methods on its own
     with pytest.raises(SystemExit):
         _run("expand", "--method", "bm25", *out)

@@ -102,14 +102,31 @@ def test_awe_drops_non_positive_cosines(world, caplog):
     assert "non-positive cosine" in caplog.text
 
 
-def test_awe_empty_selection_keeps_original(caplog):
+def _run_bytes(qm, idx, path):
+    write_run([retrieve(qm, idx)], path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.0])
+@pytest.mark.parametrize("method", ["awe", "dec"])
+def test_awe_empty_selection_keeps_original(tmp_path, caplog, method, beta):
+    # the only pool term has a negative cosine, so nothing is selected
     table = EmbeddingTable(["q", "neg"], np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    idx = build_index([Document("d1", ["q", "neg"])])
+    idx = build_index([Document("d1", ["q", "neg"]), Document("d2", ["q", "q", "x"])])
     topic = Topic("t1", ["q"])
+    cfg = ExpansionConfig(beta=beta)
     with caplog.at_level("WARNING"):
-        qm = awe_expand(topic, table, idx, ExpansionConfig(beta=0.5))
-    assert qm.weights == {"q": 0.5}
+        if method == "awe":
+            qm = awe_expand(topic, table, idx, cfg)
+        else:
+            ds = LabeledDataset([LabeledExample("t1", ["q"], "neg", Label.GOOD, 0.1),
+                                 LabeledExample("t1", ["q"], "q", Label.BAD, -0.1)])
+            refset = build_reference_set(ds, table, 2, np.random.default_rng(1))
+            model = SiameseModel(table.dim, 3, 4, np.random.default_rng(0))
+            qm = dec_expand(topic, table, idx, model, refset, cfg)
     assert "empty expansion selection" in caplog.text
+    assert _run_bytes(qm, idx, tmp_path / f"{method}.txt") == \
+        _run_bytes(qlm_model(topic), idx, tmp_path / "qlm.txt")
 
 
 def test_eqe1_matches_independent_recompute(world):
@@ -157,14 +174,8 @@ def test_eqe1_empty_pool_keeps_original_query(tmp_path, beta):
     idx = build_index([Document("d1", ["q"]), Document("d2", ["q", "q", "x"])])
     topic = Topic("t1", ["q"])
     cfg = ExpansionConfig(beta=beta)
-
-    def run_bytes(qm, name):
-        path = tmp_path / name
-        write_run([retrieve(qm, idx)], path)
-        return path.read_bytes()
-
-    expected = run_bytes(qlm_model(topic), "qlm.txt")
-    assert run_bytes(eqe1_expand(topic, table, idx, cfg), "eqe1.txt") == expected
+    assert _run_bytes(eqe1_expand(topic, table, idx, cfg), idx, tmp_path / "eqe1.txt") == \
+        _run_bytes(qlm_model(topic), idx, tmp_path / "qlm.txt")
 
 
 @pytest.fixture()

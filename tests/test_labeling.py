@@ -1,9 +1,11 @@
 """Oracle labeling of expansion candidates on planted corpora."""
 
+import re
+
 import numpy as np
 import pytest
 
-from qexp.collection import Document, Qrels, Topic, build_index
+from qexp.collection import Document, ParseError, Qrels, Topic, build_index
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import (
     Label,
@@ -177,21 +179,28 @@ def test_tsv_roundtrip(tmp_path, planted, planted_table):
     assert p.read_bytes() == p2.read_bytes()
 
 
-def test_tsv_validation(tmp_path):
+_TSV_HEADER = '# {"eps": 0.0005, "queries": {"q1": ["a"]}}\n'
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("q1\tt1\tgood\t0.1\n", 1, "missing metadata header"),
+    ("", 1, "missing metadata header"),
+    ('# {"eps": 0.0005,\n', 1, "bad JSON"),
+    ("# [1, 2]\n", 1, "metadata header is not a JSON object"),
+    ('# {"eps": "small", "queries": {}}\n', 1, "eps 'small' is not a number"),
+    ('# {"eps": 0.0005, "queries": ["q1"]}\n', 1, "queries must map"),
+    (_TSV_HEADER + "q1\tt1\tgood\n", 2, "expected 4 columns, got 3"),
+    (_TSV_HEADER + "q1\tt1\tgreat\t0.1\n", 2, "unknown label 'great'"),
+    (_TSV_HEADER + "q1\tt1\tgood\tlots\n", 2, "ap_delta 'lots' is not a number"),
+    (_TSV_HEADER + "q1\tt1\tgood\t-0.2\n", 2, "label good inconsistent with"),
+    (_TSV_HEADER + "q9\tt1\tgood\t0.2\n", 2, "query q9 missing from header"),
+    (_TSV_HEADER + "q1\tt1\tgood\t0.2\n\nq1\tt1\tbad\t-0.2\n", 4,
+     "duplicate row for query q1 term 't1'"),
+], ids=["missing-header", "empty-file", "bad-json", "header-not-object", "eps-not-number",
+        "queries-not-object", "column-count", "unknown-label", "delta-not-number",
+        "label-disagrees", "query-not-in-header", "duplicate-row"])
+def test_tsv_validation(tmp_path, text, line, message):
     p = tmp_path / "d.tsv"
-    p.write_text("q1\tt1\tgood\t0.1\n")
-    with pytest.raises(ValueError, match="missing metadata header"):
-        LabeledDataset.load_tsv(p)
-
-    header = '# {"eps": 0.0005, "queries": {"q1": ["a"]}}\n'
-    p.write_text(header + "q1\tt1\tgood\n")
-    with pytest.raises(ValueError, match="expected 4 columns"):
-        LabeledDataset.load_tsv(p)
-
-    p.write_text(header + "q1\tt1\tgood\t-0.2\n")
-    with pytest.raises(ValueError, match="inconsistent with"):
-        LabeledDataset.load_tsv(p)
-
-    p.write_text(header + "q9\tt1\tgood\t0.2\n")
-    with pytest.raises(ValueError, match="missing from header"):
+    p.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: {message}")):
         LabeledDataset.load_tsv(p)

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qexp.collection import Document, build_index
-from qexp.retrieval import ParseError, QueryModel, qlm_score, read_run, retrieve, write_run
+from qexp.collection import Document, InvertedIndex, build_index
+from qexp.retrieval import ParseError, QueryModel, read_run, retrieve, write_run
 
 from oracles import qlm_rank_reference, random_corpus
 
@@ -30,24 +31,34 @@ def test_qlm_score_hand_computed(mini_index):
     # |D01|=5, collection has 50 tokens, mu=1000
     qm = QueryModel.from_terms("701", ["solar", "energy", "cost"])
     expected = (
-        math.log((1 + 1000.0 * (3 / 50)) / (5 + 1000.0))
-        + math.log((1 + 1000.0 * (1 / 50)) / (5 + 1000.0))
+        math.log((1 + 1000.0 * (1 / 50)) / (5 + 1000.0))
+        + math.log((1 + 1000.0 * (3 / 50)) / (5 + 1000.0))
         + math.log((1 + 1000.0 * (3 / 50)) / (5 + 1000.0))
     )
-    assert qlm_score(qm, "D01", mini_index, 1000.0) == pytest.approx(expected, abs=1e-13)
+    scores = dict(retrieve(qm, mini_index, 1000.0, 1000).entries)
+    assert scores["D01"] == pytest.approx(expected, abs=1e-13)
 
 
 def test_qlm_score_skips_unseen_terms(mini_index):
     base = QueryModel.from_terms("q", ["solar"])
     extended = QueryModel("q", {"solar": 1.0, "unseenword": 5.0})
-    assert qlm_score(base, "D01", mini_index, 1000.0) == \
-        qlm_score(extended, "D01", mini_index, 1000.0)
+    assert retrieve(base, mini_index, 1000.0, 1000).entries == \
+        retrieve(extended, mini_index, 1000.0, 1000).entries
 
 
 def test_qlm_score_mu_validation(mini_index):
-    qm = QueryModel.from_terms("q", ["solar"])
+    # checked before any term is looked up, so a query that matches nothing fails too
+    qm = QueryModel.from_terms("q", ["unseenword"])
     with pytest.raises(ValueError, match="mu"):
-        qlm_score(qm, "D01", mini_index, 0.0)
+        retrieve(qm, mini_index, 0.0)
+
+
+def test_retrieve_ignores_index_term_without_collection_frequency():
+    # a loaded index may hold a term whose postings all carry tf 0
+    idx = InvertedIndex({"a": [("d1", 1)], "z": [("d1", 0), ("d2", 0)]},
+                        {"d1": 1, "d2": 1}, ["d1", "d2"])
+    got = retrieve(QueryModel("q", {"a": 1.0, "z": 1.0}), idx, 1000.0, 10)
+    assert got.entries == retrieve(QueryModel("q", {"a": 1.0}), idx, 1000.0, 10).entries
 
 
 def test_retrieve_candidates_and_order(mini_index):
@@ -83,6 +94,36 @@ def test_retrieve_matches_brute_force_reference():
         got = retrieve(QueryModel("q", weights), idx, 1000.0, depth)
         want = qlm_rank_reference(docs, weights, 1000.0, depth)
         assert got.entries == want, f"trial {trial}"
+
+
+_VOCAB = ["a", "b", "c", "d"]
+_ABSENT = ["zz1", "zz2"]
+
+
+@st.composite
+def _corpus_and_query(draw):
+    """Documents repeated under shuffled ids, so equal scores tie, and a query
+    mixing zero weights, terms absent from every document and positive weights."""
+    texts = draw(st.lists(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=8),
+                          min_size=1, max_size=6))
+    copies = [t for t in texts for _ in range(draw(st.integers(1, 3)))]
+    ids = draw(st.permutations(range(len(copies))))
+    docs = {f"d{i:02d}": terms for i, terms in zip(ids, copies)}
+    weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.01, 3.0))
+    weights = draw(st.dictionaries(st.sampled_from(_VOCAB + _ABSENT), weight,
+                                   min_size=1, max_size=6))
+    assume(any(w > 0.0 for w in weights.values()))
+    mu = draw(st.sampled_from([1.0, 1000.0, 2500.0]))
+    return docs, weights, mu, draw(st.integers(1, 25))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_corpus_and_query())
+def test_retrieve_matches_reference_on_zero_weights_absent_terms_and_ties(case):
+    docs, weights, mu, depth = case
+    idx = build_index([Document(d, t) for d, t in sorted(docs.items())])
+    got = retrieve(QueryModel("q", weights), idx, mu, depth)
+    assert got.entries == qlm_rank_reference(docs, weights, mu, depth)
 
 
 def test_run_file_format(tmp_path, mini_index):

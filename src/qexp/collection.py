@@ -12,7 +12,8 @@ The index file layout (magic ``QXIX``, version 1, little-endian throughout):
       doc table   u32 doc count, then per doc (ingest order):
                   u16 utf8 length, utf8 doc id, u64 token count
 
-Doc indexes in the postings section refer to positions in the doc table.
+Doc indexes in the postings section refer to positions in the doc table and
+ascend strictly within each posting list. Terms and doc ids are unique.
 """
 
 import logging
@@ -22,6 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +37,19 @@ INDEX_VERSION = 1
 
 class ParseError(ValueError):
     """Raised for malformed corpus, topic, qrels, or index files."""
+
+
+def text_lines(path, error=ParseError):
+    """Yield (line number, line) of a UTF-8 text file, as text-mode iteration
+    splits it; a line that is not UTF-8 raises ``error`` naming path:line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise error(f"{path}:{lineno}: line is not valid UTF-8") from None
+            yield lineno, line
 
 
 @dataclass
@@ -76,54 +92,74 @@ class Qrels:
 
 
 class InvertedIndex:
-    """Postings, document lengths, and collection statistics.
+    """The index file's layout as arrays: term i (of the sorted ``terms``) has
+    ``doc_index[offsets[i]:offsets[i+1]]`` (ascending positions in ``doc_ids`` and
+    ``doc_len``, ingest order) and the matching ``tf`` slice.
 
     Immutable once built; safe to share across concurrent readers.
     """
 
-    def __init__(
-        self,
-        postings: dict[str, list[tuple[str, int]]],
-        doc_lengths: dict[str, int],
-        doc_order: list[str],
-    ):
-        self.postings = postings
-        self.doc_lengths = doc_lengths
-        self.doc_order = doc_order
-        self.collection_freq = {
-            term: sum(tf for _, tf in plist) for term, plist in postings.items()
-        }
-        self.total_tokens = sum(doc_lengths.values())
+    def __init__(self, terms: list[str], offsets: np.ndarray, doc_index: np.ndarray,
+                 tf: np.ndarray, doc_ids: list[str], doc_len: np.ndarray):
+        self.terms = terms
+        self.offsets = offsets
+        self.doc_index = doc_index
+        self.tf = tf
+        self.doc_ids = doc_ids
+        self.doc_len = doc_len
+        self._row = {term: i for i, term in enumerate(terms)}
+        cum = np.concatenate((np.zeros(1, np.uint64), np.cumsum(tf, dtype=np.uint64)))
+        self.collection_freq = cum[offsets[1:]] - cum[offsets[:-1]]
+        self.total_tokens = int(doc_len.sum())
+        # each document's position in ascending doc_id order, the ranking tie-break
+        self.doc_rank = np.array(doc_ids, dtype=object).argsort(kind="stable").argsort()
 
     @property
     def num_docs(self) -> int:
-        return len(self.doc_lengths)
+        return len(self.doc_ids)
 
-    def vocabulary(self):
-        return self.postings.keys()
+    def vocabulary(self) -> list[str]:
+        return self.terms
+
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """The indexed term's doc indexes (ascending) and term frequencies."""
+        row = self._row[term]
+        lo, hi = self.offsets[row], self.offsets[row + 1]
+        return self.doc_index[lo:hi], self.tf[lo:hi]
 
     def doc_length(self, doc_id: str) -> int:
         try:
-            return self.doc_lengths[doc_id]
-        except KeyError:
+            return int(self.doc_len[self.doc_ids.index(doc_id)])
+        except ValueError:
             raise KeyError(f"unknown doc_id {doc_id!r}") from None
 
     def collection_prob(self, term: str) -> float:
         """Maximum-likelihood probability of the term in the whole collection."""
-        if self.total_tokens == 0:
+        if term not in self._row or self.total_tokens == 0:
             return 0.0
-        return self.collection_freq.get(term, 0) / self.total_tokens
+        return int(self.collection_freq[self._row[term]]) / self.total_tokens
 
     def __contains__(self, term: str) -> bool:
-        return term in self.postings
+        return term in self._row
 
     def save(self, path):
-        data = _serialize_index(self)
-        Path(path).write_bytes(data)
+        pairs = np.stack((self.doc_index, self.tf), axis=1).astype("<u4", copy=False)
+        bounds = self.offsets.tolist()
+        postings = b"".join(struct.pack("<I", hi - lo) + pairs[lo:hi].tobytes()
+                            for lo, hi in zip(bounds, bounds[1:]))
+        sections = (_pack_strings(self.terms, self.collection_freq.tolist()), postings,
+                    _pack_strings(self.doc_ids, self.doc_len.tolist()))
+        Path(path).write_bytes(INDEX_MAGIC + bytes([INDEX_VERSION]) + b"".join(
+            struct.pack("<Q", len(section)) + section for section in sections))
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
-        return _deserialize_index(Path(path).read_bytes(), str(path))
+        """Read an index file; any malformed or inconsistent file raises ParseError."""
+        try:
+            return _parse_index(Path(path).read_bytes(), str(path))
+        except (struct.error, UnicodeDecodeError) as exc:
+            # a section shorter than its counts, or a name that is not UTF-8
+            raise ParseError(f"{path}: malformed index section ({exc})") from None
 
 
 def load_stopwords(path=None) -> frozenset:
@@ -131,7 +167,7 @@ def load_stopwords(path=None) -> frozenset:
     if path is None:
         text = resources.files("qexp.data").joinpath("inquery_stopwords.txt").read_text()
     else:
-        text = Path(path).read_text()
+        text = "".join(line for _, line in text_lines(path))
     return frozenset(w for w in text.split() if w)
 
 
@@ -177,20 +213,21 @@ def ingest_trec_docs(path, stopwords) -> list[Document]:
     return docs
 
 
-def build_index(docs) -> InvertedIndex:
+def build_index(docs: list[Document]) -> InvertedIndex:
     """Build the inverted index; postings are stored in sorted term order."""
-    accum: dict[str, list[tuple[str, int]]] = {}
-    doc_lengths: dict[str, int] = {}
-    doc_order: list[str] = []
-    for doc in docs:
-        if doc.doc_id in doc_lengths:
-            raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
-        doc_lengths[doc.doc_id] = doc.length
-        doc_order.append(doc.doc_id)
+    doc_ids = [doc.doc_id for doc in docs]
+    if len(set(doc_ids)) < len(doc_ids):
+        raise ValueError(f"duplicate doc_id {Counter(doc_ids).most_common(1)[0][0]!r}")
+    accum: dict[str, list[int]] = {}
+    for i, doc in enumerate(docs):
         for term, tf in Counter(doc.terms).items():
-            accum.setdefault(term, []).append((doc.doc_id, tf))
-    postings = {term: accum[term] for term in sorted(accum)}
-    return InvertedIndex(postings, doc_lengths, doc_order)
+            accum.setdefault(term, []).extend((i, tf))
+    terms = sorted(accum)
+    offsets = np.concatenate(([0], np.cumsum([len(accum[t]) // 2 for t in terms],
+                                             dtype=np.int64)))
+    pairs = np.array([x for t in terms for x in accum[t]], np.uint32).reshape(-1, 2)
+    return InvertedIndex(terms, offsets, pairs[:, 0], pairs[:, 1], doc_ids,
+                         np.array([doc.length for doc in docs], np.uint64))
 
 
 def load_topics(path, stopwords) -> list[Topic]:
@@ -222,59 +259,53 @@ def load_topics(path, stopwords) -> list[Topic]:
 def load_qrels(path) -> Qrels:
     """Parse whitespace-delimited 4-column qrels: qid 0 docno grade."""
     qrels = Qrels()
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-            qid, _, docno, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer grade {grade_s!r}") from None
-            if grade < 0:
-                raise ParseError(f"{path}:{lineno}: negative grade {grade}")
-            qrels.add(qid, docno, grade)
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+        qid, _, docno, grade_s = parts
+        try:
+            grade = int(grade_s)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer grade {grade_s!r}") from None
+        if grade < 0:
+            raise ParseError(f"{path}:{lineno}: negative grade {grade}")
+        qrels.add(qid, docno, grade)
     return qrels
 
 
 # --- binary index format ------------------------------------------------
 
 
-def _serialize_index(idx: InvertedIndex) -> bytes:
-    doc_pos = {doc_id: i for i, doc_id in enumerate(idx.doc_order)}
-    terms = sorted(idx.postings)
-
-    vocab = bytearray(struct.pack("<I", len(terms)))
-    for term in terms:
-        enc = term.encode("utf-8")
-        vocab += struct.pack("<H", len(enc)) + enc
-        vocab += struct.pack("<Q", idx.collection_freq[term])
-
-    postings = bytearray()
-    for term in terms:
-        plist = idx.postings[term]
-        postings += struct.pack("<I", len(plist))
-        for doc_id, tf in plist:
-            postings += struct.pack("<II", doc_pos[doc_id], tf)
-
-    table = bytearray(struct.pack("<I", len(idx.doc_order)))
-    for doc_id in idx.doc_order:
-        enc = doc_id.encode("utf-8")
-        table += struct.pack("<H", len(enc)) + enc
-        table += struct.pack("<Q", idx.doc_lengths[doc_id])
-
-    out = bytearray(INDEX_MAGIC)
-    out.append(INDEX_VERSION)
-    for section in (vocab, postings, table):
-        out += struct.pack("<Q", len(section))
-        out += section
+def _pack_strings(names, values) -> bytes:
+    """A string table: u32 count, then per entry u16 utf8 length, utf8, u64 value."""
+    out = bytearray(struct.pack("<I", len(names)))
+    for name, value in zip(names, values):
+        enc = name.encode("utf-8")
+        out += struct.pack("<H", len(enc)) + enc + struct.pack("<Q", value)
     return bytes(out)
 
 
-def _deserialize_index(data: bytes, name: str) -> InvertedIndex:
+def _unpack_strings(raw: bytes, name: str, what: str) -> tuple[list[str], list[int]]:
+    (count,) = struct.unpack_from("<I", raw, 0)
+    names, values, off = [], [], 4
+    for _ in range(count):
+        (size,) = struct.unpack_from("<H", raw, off)
+        names.append(raw[off + 2:off + 2 + size].decode("utf-8"))
+        (value,) = struct.unpack_from("<Q", raw, off + 2 + size)
+        values.append(value)
+        off += 10 + size
+    if off != len(raw):
+        raise ParseError(f"{name}: {len(raw) - off} bytes left over in the {what} section")
+    if len(set(names)) < len(names):
+        repeat = Counter(names).most_common(1)[0][0]
+        raise ParseError(f"{name}: repeated {what} entry {repeat!r}")
+    return names, values
+
+
+def _parse_index(data: bytes, name: str) -> InvertedIndex:
     if data[:4] != INDEX_MAGIC:
         raise ParseError(f"{name}: not an index file (bad magic)")
     if len(data) < 5:
@@ -292,55 +323,36 @@ def _deserialize_index(data: bytes, name: str) -> InvertedIndex:
             raise ParseError(f"{name}: truncated index section")
         sections.append(data[off:off + length])
         off += length
-    try:
-        return _parse_sections(name, *sections)
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
-        # A section shorter than its counts, or a doc index past the doc table.
-        raise ParseError(f"{name}: malformed index section ({exc})") from None
+    if off != len(data):
+        raise ParseError(f"{name}: {len(data) - off} bytes after the last section")
+    terms, freqs = _unpack_strings(sections[0], name, "vocabulary")
+    doc_ids, doc_len = _unpack_strings(sections[2], name, "doc table")
 
+    # each posting list is a u32 count followed by that many (doc index, tf) pairs
+    postings_raw, counts, word = sections[1], [], 0
+    for _ in terms:
+        (count,) = struct.unpack_from("<I", postings_raw, 4 * word)
+        counts.append(count)
+        word += 1 + 2 * count
+    if 4 * word != len(postings_raw):
+        raise ParseError(f"{name}: postings section holds {len(postings_raw)} bytes, "
+                         f"its counts imply {4 * word}")
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    count_at = np.arange(len(terms)) + 2 * offsets[:-1]
+    pairs = np.delete(np.frombuffer(postings_raw, "<u4"), count_at).reshape(-1, 2)
+    doc_index = pairs[:, 0]
+    if (doc_index >= len(doc_ids)).any():
+        raise ParseError(f"{name}: a doc index points past the doc table of {len(doc_ids)}")
+    step = np.diff(doc_index.astype(np.int64), prepend=-1)
+    step[offsets[:-1][np.diff(offsets) > 0]] = 1  # a list's first posting
+    if (step <= 0).any():
+        term = terms[np.searchsorted(offsets, np.argmax(step <= 0), "right") - 1]
+        raise ParseError(f"{name}: doc indexes of term {term!r} are not strictly ascending")
 
-def _parse_sections(name: str, vocab_raw: bytes, postings_raw: bytes,
-                    table_raw: bytes) -> InvertedIndex:
-    terms = []
-    freqs = []
-    off = 4
-    (n_terms,) = struct.unpack_from("<I", vocab_raw, 0)
-    for _ in range(n_terms):
-        (tlen,) = struct.unpack_from("<H", vocab_raw, off)
-        off += 2
-        terms.append(vocab_raw[off:off + tlen].decode("utf-8"))
-        off += tlen
-        (cf,) = struct.unpack_from("<Q", vocab_raw, off)
-        off += 8
-        freqs.append(cf)
-
-    doc_order = []
-    doc_lengths = {}
-    off = 4
-    (n_docs,) = struct.unpack_from("<I", table_raw, 0)
-    for _ in range(n_docs):
-        (dlen,) = struct.unpack_from("<H", table_raw, off)
-        off += 2
-        doc_id = table_raw[off:off + dlen].decode("utf-8")
-        off += dlen
-        (length,) = struct.unpack_from("<Q", table_raw, off)
-        off += 8
-        doc_order.append(doc_id)
-        doc_lengths[doc_id] = length
-
-    postings = {}
-    off = 0
-    for term, cf in zip(terms, freqs):
-        (n_post,) = struct.unpack_from("<I", postings_raw, off)
-        off += 4
-        plist = []
-        for _ in range(n_post):
-            doc_i, tf = struct.unpack_from("<II", postings_raw, off)
-            off += 8
-            plist.append((doc_order[doc_i], tf))
-        if sum(tf for _, tf in plist) != cf:
-            raise ParseError(f"{name}: posting frequencies disagree with stored "
-                             f"collection frequency for term {term!r}")
-        postings[term] = plist
-
-    return InvertedIndex(postings, doc_lengths, doc_order)
+    idx = InvertedIndex(terms, offsets, doc_index, pairs[:, 1], doc_ids,
+                        np.array(doc_len, np.uint64))
+    wrong = np.flatnonzero(idx.collection_freq != np.array(freqs, np.uint64))
+    if len(wrong):
+        raise ParseError(f"{name}: posting frequencies disagree with stored "
+                         f"collection frequency for term {terms[wrong[0]]!r}")
+    return idx

@@ -7,6 +7,8 @@ environment variables, command-line flags.
 import os
 from dataclasses import dataclass, fields
 
+from qexp.collection import text_lines
+
 
 class ConfigError(ValueError):
     pass
@@ -81,18 +83,17 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines; `#` starts a comment; unknown keys rejected."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+    for lineno, line in text_lines(path, ConfigError):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _FIELDS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _coerce(key, raw)
     return values
 
 

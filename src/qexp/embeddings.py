@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from qexp.collection import ParseError
+from qexp.collection import ParseError, text_lines
 
 log = logging.getLogger(__name__)
 
@@ -58,35 +58,34 @@ def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
     dim = None
     header = None  # (line number, declared row count)
     count = 0
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if dim is None and len(parts) == 2 and all(p.isdecimal() for p in parts):
-                header = (lineno, int(parts[0]))
-                dim = int(parts[1])
-                continue
-            term, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ParseError(f"{path}:{lineno}: no vector components")
-            elif len(values) != dim:
-                source = "header" if header else "first line"
-                raise ParseError(
-                    f"{path}:{lineno}: dimension {len(values)} != {dim} from {source}")
-            count += 1
-            if keep is not None and term not in keep:
-                continue
-            if term in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate term {term!r}")
-            seen.add(term)
-            try:
-                rows.append(np.array([float(v) for v in values], dtype=np.float64))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric vector component") from None
-            terms.append(term)
+    for lineno, line in text_lines(path):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        if dim is None and len(parts) == 2 and all(p.isdecimal() for p in parts):
+            header = (lineno, int(parts[0]))
+            dim = int(parts[1])
+            continue
+        term, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise ParseError(f"{path}:{lineno}: no vector components")
+        elif len(values) != dim:
+            source = "header" if header else "first line"
+            raise ParseError(
+                f"{path}:{lineno}: dimension {len(values)} != {dim} from {source}")
+        count += 1
+        if keep is not None and term not in keep:
+            continue
+        if term in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate term {term!r}")
+        seen.add(term)
+        try:
+            rows.append(np.array([float(v) for v in values], dtype=np.float64))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric vector component") from None
+        terms.append(term)
     if count == 0:
         raise ParseError(f"{path}: empty embedding file")
     if header and count != header[1]:

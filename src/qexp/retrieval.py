@@ -3,7 +3,9 @@
 import math
 from dataclasses import dataclass, field
 
-from qexp.collection import InvertedIndex, ParseError
+import numpy as np
+
+from qexp.collection import InvertedIndex, ParseError, text_lines
 from qexp.config import Config
 
 
@@ -53,10 +55,11 @@ def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
     """Rank every document sharing a query term by Dirichlet-smoothed query likelihood.
 
     score(d) = sum_w weight(w) * log((tf(w,d) + mu*p(w|C)) / (|d| + mu)),
-    accumulated term at a time in sorted term order, reading each term's
-    posting list once. Terms with zero collection probability contribute
-    nothing. Documents without any query term tie below all matching
-    documents at the depths used, so they are never candidates.
+    added term at a time in sorted term order; math.log runs once per distinct
+    ratio, as np.log may differ from it in the last bit. Terms with zero
+    collection probability contribute nothing. Documents without any query
+    term tie below all matching documents at the depths used, so they are
+    never candidates.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -64,16 +67,22 @@ def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
         raise ValueError(f"depth must be >= 1, got {depth}")
     terms = sorted(t for t, w in q.weights.items()
                    if w > 0.0 and idx.collection_prob(t) > 0.0)
-    tfs = [dict(idx.postings[t]) for t in terms]
-    scores = dict.fromkeys(set().union(*tfs), 0.0)
-    for term, term_tfs in zip(terms, tfs):
-        w = q.weights[term]
-        smoothing = mu * idx.collection_prob(term)
-        for doc_id in scores:
-            scores[doc_id] += w * math.log(
-                (term_tfs.get(doc_id, 0) + smoothing) / (idx.doc_lengths[doc_id] + mu))
-    ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
-    return RankedList(q.query_id, ranked[:depth])
+    if not terms:
+        return RankedList(q.query_id)
+    postings = [idx.postings(t) for t in terms]
+    docs = np.unique(np.concatenate([doc_index for doc_index, _ in postings]))
+    doc_len = idx.doc_len[docs] + mu
+    scores = np.zeros(len(docs))
+    for term, (doc_index, term_tf) in zip(terms, postings):
+        tf = np.zeros(len(docs))
+        tf[np.searchsorted(docs, doc_index)] = term_tf
+        ratios, inverse = np.unique((tf + mu * idx.collection_prob(term)) / doc_len,
+                                    return_inverse=True)
+        logs = np.array([math.log(r) for r in ratios.tolist()])
+        scores += q.weights[term] * logs[inverse]
+    top = np.lexsort((idx.doc_rank[docs], -scores))[:depth]
+    return RankedList(q.query_id, list(zip([idx.doc_ids[i] for i in docs[top].tolist()],
+                                           scores[top].tolist())))
 
 
 def write_run(ranked_lists, path, tag: str = "qexp"):
@@ -93,23 +102,22 @@ def read_run(path) -> list[RankedList]:
     The rank column must agree with line order within each query.
     """
     lists: dict[str, RankedList] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-            qid, _, doc_id, rank_s, score_s, _ = parts
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad rank or score") from None
-            ranked = lists.setdefault(qid, RankedList(qid))
-            if rank != len(ranked.entries) + 1:
-                raise ParseError(
-                    f"{path}:{lineno}: rank {rank} disagrees with position "
-                    f"{len(ranked.entries) + 1}")
-            ranked.entries.append((doc_id, score))
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
+        qid, _, doc_id, rank_s, score_s, _ = parts
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad rank or score") from None
+        ranked = lists.setdefault(qid, RankedList(qid))
+        if rank != len(ranked.entries) + 1:
+            raise ParseError(
+                f"{path}:{lineno}: rank {rank} disagrees with position "
+                f"{len(ranked.entries) + 1}")
+        ranked.entries.append((doc_id, score))
     return list(lists.values())

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from qexp.collection import (
     build_index,
@@ -13,6 +14,10 @@ from qexp.collection import (
 from qexp.embeddings import load_embeddings
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# every property test replays the same examples on every run
+settings.register_profile("qexp", derandomize=True, database=None, deadline=None)
+settings.load_profile("qexp")
 
 
 @pytest.fixture(scope="session")

@@ -168,3 +168,27 @@ def test_error_exit_codes(tmp_path, capsys):
     # argparse rejects unknown methods on its own
     with pytest.raises(SystemExit):
         _run("expand", "--method", "bm25", *out)
+
+
+@pytest.mark.parametrize("reader", ["dataset", "qrels", "embeddings", "config",
+                                    "stopwords"])
+def test_non_utf8_input_exits_2_naming_file_and_line(reader, ws, tmp_path, capsys):
+    name, first = {"dataset": ("dataset.tsv", b'# {"queries": {}}\n'),
+                   "qrels": ("qrels.txt", b"701 0 D01 1\n"),
+                   "embeddings": ("vectors.txt", b"solar 1 0\n"),
+                   "config": ("run.cfg", b"seed = 1\n"),
+                   "stopwords": ("stop.txt", b"the\n")}[reader]
+    bad = tmp_path / name
+    bad.write_bytes(first + b"\xff\xfe 0 1\n")
+    out = ("--output-dir", str(tmp_path))
+    retrieval = ("--set", f"index={ws / 'index.qxix'}", "--set", f"topics={TOPICS}")
+    argv = {"dataset": ("train", "--embeddings", VECTORS, *out),
+            "qrels": ("label", *retrieval, "--set", f"qrels={bad}",
+                      "--embeddings", VECTORS, *out),
+            "embeddings": ("label", *retrieval, "--set", f"qrels={QRELS}",
+                           "--embeddings", str(bad), *out),
+            "config": ("gradcheck", "--config", str(bad)),
+            "stopwords": ("index", "--set", f"corpus={CORPUS}",
+                          "--set", f"stopwords={bad}", *out)}[reader]
+    assert _run(*argv) == 2
+    assert f"{name}:2: line is not valid UTF-8" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tokenization, TREC parsing, and index construction/serialization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qexp.collection import (
     InvertedIndex,
@@ -78,15 +79,23 @@ def test_index_statistics(mini_index):
     assert mini_index.num_docs == 8
     assert mini_index.total_tokens == EXPECTED_TOTAL_TOKENS
     assert len(mini_index.vocabulary()) == EXPECTED_VOCAB_SIZE
+    assert mini_index.terms == sorted(mini_index.terms)
+    assert mini_index.doc_ids == sorted(EXPECTED_TOKENS)
+    assert mini_index.doc_len.tolist() == [len(EXPECTED_TOKENS[d]) for d in mini_index.doc_ids]
     assert mini_index.doc_length("D08") == 8
-    assert mini_index.collection_freq["energy"] == 3
-    assert mini_index.collection_freq["solar"] == 3
-    assert mini_index.collection_freq["2030"] == 1
     assert mini_index.collection_prob("energy") == 3 / 50
+    assert mini_index.collection_prob("solar") == 3 / 50
+    assert mini_index.collection_prob("2030") == 1 / 50
     assert mini_index.collection_prob("zz") == 0.0
     assert "solar" in mini_index and "zz" not in mini_index
-    assert mini_index.postings["energy"] == [("D01", 1), ("D08", 2)]
-    assert list(mini_index.postings) == sorted(mini_index.postings)
+    doc_index, tf = mini_index.postings("energy")
+    assert [mini_index.doc_ids[i] for i in doc_index] == ["D01", "D08"]
+    assert tf.tolist() == [1, 2]
+
+
+def _arrays(idx):
+    return (idx.terms, idx.offsets.tolist(), idx.doc_index.tolist(), idx.tf.tolist(),
+            idx.doc_ids, idx.doc_len.tolist(), idx.total_tokens)
 
 
 def test_index_roundtrip(mini_index, tmp_path):
@@ -94,10 +103,7 @@ def test_index_roundtrip(mini_index, tmp_path):
     p2 = tmp_path / "b.qxix"
     mini_index.save(p1)
     loaded = InvertedIndex.load(p1)
-    assert loaded.postings == mini_index.postings
-    assert loaded.doc_lengths == mini_index.doc_lengths
-    assert loaded.doc_order == mini_index.doc_order
-    assert loaded.total_tokens == mini_index.total_tokens
+    assert _arrays(loaded) == _arrays(mini_index)
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -159,10 +165,53 @@ def test_index_load_malformed_raises_parse_error(mini_index, tmp_path):
 
     # the first posting's doc index points past the doc table
     n_docs = int.from_bytes(table[:4], "little")
-    postings = postings[:4] + n_docs.to_bytes(4, "little") + postings[8:]
-    bad.write_bytes(_framed([vocab, postings, table]))
+    past = postings[:4] + n_docs.to_bytes(4, "little") + postings[8:]
+    bad.write_bytes(_framed([vocab, past, table]))
     with pytest.raises(ParseError, match="bad.qxix"):
         InvertedIndex.load(bad)
+
+    # energy's two postings swapped, so its doc indexes descend
+    row = mini_index.terms.index("energy")
+    at = 4 * (row + 1 + 2 * int(mini_index.offsets[row]))
+    swapped = postings[:at] + postings[at + 8:at + 16] + postings[at:at + 8] + postings[at + 16:]
+    repeated_term = vocab.replace(b"\x05\x00power", b"\x05\x00solar")
+    repeated_doc = table.replace(b"D02", b"D01")
+    for sections, message in (
+            ([vocab, swapped, table], "'energy' are not strictly ascending"),
+            ([repeated_term, postings, table], "repeated vocabulary entry 'solar'"),
+            ([vocab, postings, repeated_doc], "repeated doc table entry 'D01'"),
+            ([vocab + b"x", postings, table], "1 bytes left over in the vocabulary"),
+            ([vocab, postings + bytes(4), table], "its counts imply"),
+            ([vocab, postings, table + b"x"], "1 bytes left over in the doc table")):
+        bad.write_bytes(_framed(sections))
+        with pytest.raises(ParseError, match=f"bad.qxix: .*{message}"):
+            InvertedIndex.load(bad)
+    bad.write_bytes(data + b"junk")
+    with pytest.raises(ParseError, match="bad.qxix: 4 bytes after the last section"):
+        InvertedIndex.load(bad)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_index_mutation_loads_identically_or_raises_parse_error(
+        mini_index, tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.qxix"
+    mini_index.save(path)
+    raw = bytearray(path.read_bytes())
+    kind = data.draw(st.sampled_from(["truncate", "flip", "append"]))
+    if kind == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif kind == "flip":
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    path.write_bytes(raw)
+    try:
+        idx = InvertedIndex.load(path)
+    except ParseError:
+        return
+    idx.save(path)
+    assert path.read_bytes() == raw
 
 
 def test_load_topics(mini_topics, caplog):

@@ -1,6 +1,7 @@
 """Dirichlet QLM scoring and ranking against a brute-force reference."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -53,10 +54,23 @@ def test_qlm_score_mu_validation(mini_index):
         retrieve(qm, mini_index, 0.0)
 
 
-def test_retrieve_ignores_index_term_without_collection_frequency():
-    # a loaded index may hold a term whose postings all carry tf 0
-    idx = InvertedIndex({"a": [("d1", 1)], "z": [("d1", 0), ("d2", 0)]},
-                        {"d1": 1, "d2": 1}, ["d1", "d2"])
+def _string_table(entries):
+    out = struct.pack("<I", len(entries))
+    for name, value in entries:
+        out += struct.pack("<H", len(name)) + name.encode() + struct.pack("<Q", value)
+    return out
+
+
+def test_retrieve_ignores_index_term_without_collection_frequency(tmp_path):
+    # a loaded index may hold a term whose postings all carry tf 0: here "z"
+    vocab = _string_table([("a", 1), ("z", 0)])
+    postings = struct.pack("<8I", 1, 0, 1, 2, 0, 0, 1, 0)
+    table = _string_table([("d1", 1), ("d2", 1)])
+    path = tmp_path / "tf0.qxix"
+    path.write_bytes(b"QXIX\x01" + b"".join(
+        struct.pack("<Q", len(section)) + section for section in (vocab, postings, table)))
+    idx = InvertedIndex.load(path)
+    assert idx.postings("z")[1].tolist() == [0, 0]
     got = retrieve(QueryModel("q", {"a": 1.0, "z": 1.0}), idx, 1000.0, 10)
     assert got.entries == retrieve(QueryModel("q", {"a": 1.0}), idx, 1000.0, 10).entries
 
@@ -117,13 +131,17 @@ def _corpus_and_query(draw):
     return docs, weights, mu, draw(st.integers(1, 25))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_corpus_and_query())
-def test_retrieve_matches_reference_on_zero_weights_absent_terms_and_ties(case):
+def test_retrieve_matches_reference_on_zero_weights_absent_terms_and_ties(
+        tmp_path_factory, case):
     docs, weights, mu, depth = case
-    idx = build_index([Document(d, t) for d, t in sorted(docs.items())])
-    got = retrieve(QueryModel("q", weights), idx, mu, depth)
-    assert got.entries == qlm_rank_reference(docs, weights, mu, depth)
+    built = build_index([Document(d, t) for d, t in sorted(docs.items())])
+    path = tmp_path_factory.getbasetemp() / "retrieve_property.qxix"
+    built.save(path)
+    want = qlm_rank_reference(docs, weights, mu, depth)
+    for idx in (built, InvertedIndex.load(path)):
+        assert retrieve(QueryModel("q", weights), idx, mu, depth).entries == want
 
 
 def test_run_file_format(tmp_path, mini_index):
@@ -155,4 +173,7 @@ def test_read_run_errors(tmp_path):
         read_run(p)
     p.write_text("q1 Q0 d1 one 0.5 tag\n")
     with pytest.raises(ParseError, match="bad rank or score"):
+        read_run(p)
+    p.write_bytes(b"q1 Q0 d1 1 0.5 tag\nq1 Q0 d\xff 2 0.4 tag\n")
+    with pytest.raises(ParseError, match="r.txt:2: line is not valid UTF-8"):
         read_run(p)

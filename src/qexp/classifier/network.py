@@ -35,13 +35,19 @@ SAME_CLASS = 1
 DIFF_CLASS = 0
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
+def _sigmoid(z, scratch):
+    """Overwrite z with its stable logistic and return it; scratch is an array of z's shape.
+
+    One exp: 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below. min(z, -z)
+    is -|z|, but passes a NaN through with its sign, as the two-branch form
+    does.
+    """
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.minimum(z, np.negative(z, out=scratch), out=scratch)
+    np.exp(e, out=e)
+    num = np.maximum(e, pos, out=z)
+    e += 1.0
+    return np.divide(num, e, out=z)
 
 
 def _softmax(a):
@@ -68,9 +74,15 @@ class SiameseModel:
                        for name, shape in param_shapes(dim, hidden, rep).items()}
         for direction in ("fwd", "bwd"):  # forget-gate bias starts open
             self.params[f"{direction}.b"][hidden:2 * hidden] = 1.0
+        self._grads = {name: np.zeros(shape)
+                       for name, shape in param_shapes(dim, hidden, rep).items()}
+        self._product = np.empty(max(g.size for g in self._grads.values()))
 
     def zero_grads(self) -> dict:
-        return {name: np.zeros_like(p) for name, p in self.params.items()}
+        """The model's gradient buffers, zeroed in place."""
+        for g in self._grads.values():
+            g.fill(0.0)
+        return self._grads
 
     # --- one LSTM direction over a batch of equal-length sequences ---
 
@@ -81,16 +93,26 @@ class SiameseModel:
         b = self.params[f"{direction}.b"]
         B, T, _ = x.shape
         h = self.hidden
-        h_t = np.zeros((B, h))
+        # Every step's activated gates, gate-major: i, f, g and o are each a
+        # contiguous (B, h) block, so the elementwise work reads no strides.
+        gates = np.empty((T, 4, B, h))
+        z = np.empty((B, 4 * h))
+        z_rec = np.empty((B, 4 * h))
+        scratch = np.empty((2, B, h))
+        h_t = None  # the zero state: no h_t @ U at t = 0
         c_t = np.zeros((B, h))
         steps = []
         states = np.empty((B, T, h))
         for t in range(T):
-            z = x[:, t] @ W + h_t @ U + b
-            i = _sigmoid(z[:, :h])
-            f = _sigmoid(z[:, h:2 * h])
-            g = np.tanh(z[:, 2 * h:3 * h])
-            o = _sigmoid(z[:, 3 * h:])
+            np.matmul(x[:, t], W, out=z)
+            if t:
+                z += np.matmul(h_t, U, out=z_rec)
+            z += b
+            np.copyto(gates[t], z.reshape(B, 4, h).transpose(1, 0, 2))
+            i, f, g, o = gates[t]
+            _sigmoid(gates[t, :2], scratch)
+            np.tanh(g, out=g)
+            _sigmoid(o, scratch[0])
             c_new = f * c_t + i * g
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c
@@ -102,7 +124,6 @@ class SiameseModel:
     def _lstm_backward(self, d_states, cache, direction, grads):
         """d_states: (B, T, h) gradient on every per-step hidden state."""
         x, steps = cache
-        W = self.params[f"{direction}.W"]
         U = self.params[f"{direction}.U"]
         B, T, _ = x.shape
         h = self.hidden
@@ -111,6 +132,8 @@ class SiameseModel:
         db = grads[f"{direction}.b"]
         dh_next = np.zeros((B, h))
         dc_next = np.zeros((B, h))
+        dz = np.empty((B, 4 * h))
+        dz_i, dz_f, dz_g, dz_o = (dz[:, k * h:(k + 1) * h] for k in range(4))
         for t in range(T - 1, -1, -1):
             i, f, g, o, c_prev, tanh_c, h_prev = steps[t]
             dh = d_states[:, t] + dh_next
@@ -120,16 +143,19 @@ class SiameseModel:
             df = dc * c_prev
             dg = dc * i
             dc_next = dc * f
-            dz = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g ** 2),
-                do * o * (1.0 - o),
-            ], axis=1)
-            dW += x[:, t].T @ dz
-            dU += h_prev.T @ dz
+            np.multiply(di * i, 1.0 - i, out=dz_i)
+            np.multiply(df * f, 1.0 - f, out=dz_f)
+            np.multiply(dg, 1.0 - g ** 2, out=dz_g)
+            np.multiply(do * o, 1.0 - o, out=dz_o)
+            self._add_product(dW, x[:, t].T, dz)
             db += dz.sum(axis=0)
-            dh_next = dz @ U.T
+            if t:  # h_prev is the zero state at t = 0
+                self._add_product(dU, h_prev.T, dz)
+                dh_next = dz @ U.T
+
+    def _add_product(self, grad, a, b):
+        """grad += a @ b, with the product in the model's reused buffer."""
+        grad += np.matmul(a, b, out=self._product[:grad.size].reshape(grad.shape))
 
     # --- encoder: BiLSTM + dense softmax representation ---
 
@@ -157,7 +183,7 @@ class SiameseModel:
         # Softmax jacobian: da = rep * (drep - sum(drep * rep)).
         inner = np.sum(d_reps * reps, axis=1, keepdims=True)
         da = reps * (d_reps - inner)
-        grads["repr.W"] += pooled.T @ da
+        self._add_product(grads["repr.W"], pooled.T, da)
         grads["repr.b"] += da.sum(axis=0)
         d_pooled = da @ self.params["repr.W"].T
         h = self.hidden
@@ -200,7 +226,8 @@ class SiameseModel:
         """Mean cross-entropy over a batch of pairs, with parameter gradients.
 
         seqs_left/seqs_right are lists of (T_i, d) arrays; lengths may differ
-        between pairs (equal-length groups run vectorized internally).
+        between pairs (equal-length groups run vectorized internally). The
+        gradients are the model's own buffers, which the next call overwrites.
         """
         n = len(seqs_left)
         if n == 0 or n != len(seqs_right) or n != len(same_class):
@@ -225,7 +252,7 @@ class SiameseModel:
         d_logits = probs.copy()
         d_logits[np.arange(n), y] -= 1.0
         d_logits /= n
-        grads["cmp.W"] += diff.T @ d_logits
+        self._add_product(grads["cmp.W"], diff.T, d_logits)
         grads["cmp.b"] += d_logits.sum(axis=0)
         d_diff = d_logits @ self.params["cmp.W"].T
         d_reps = np.concatenate([d_diff, -d_diff], axis=0)
@@ -254,7 +281,8 @@ def gradient_check(model: SiameseModel, seq_left, seq_right, same_class: bool,
     seqs_l = [np.asarray(seq_left, dtype=np.float64)]
     seqs_r = [np.asarray(seq_right, dtype=np.float64)]
     y = [same_class]
-    _, analytic = model.pair_loss_and_grads(seqs_l, seqs_r, y)
+    _, grads = model.pair_loss_and_grads(seqs_l, seqs_r, y)
+    analytic = {name: g.copy() for name, g in grads.items()}
 
     errors = {}
     for name in PARAM_ORDER:

@@ -14,6 +14,10 @@ from qexp.labeling import LabeledDataset
 
 log = logging.getLogger(__name__)
 
+# Elements per block of the Adam update: the six arrays a block touches
+# (768 KB) stay in a core's L2 cache across all fourteen passes over it.
+ADAM_BLOCK = 16384
+
 
 @dataclass
 class TrainConfig:
@@ -35,7 +39,13 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a named parameter dict."""
+    """Adaptive-moment gradient descent over a named parameter dict.
+
+    Moments are updated in place, block by block, and the update's
+    temporaries live in one scratch buffer of two blocks, so a step
+    allocates nothing. Each product keeps the evaluation order of the
+    textbook expressions, so the parameters are bit-identical to them.
+    """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -44,18 +54,34 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = {k: np.zeros(v.shape) for k, v in params.items()}
+        self.v = {k: np.zeros(v.shape) for k, v in params.items()}
+        self._scratch = np.empty(2 * ADAM_BLOCK)  # denominator, then numerator
 
     def step(self, params: dict, grads: dict):
+        """One update of params in place; grads are only read."""
         self.t += 1
-        for name in params:
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[name] / (1.0 - self.beta2 ** self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        block = ADAM_BLOCK
+        for name, param in params.items():
+            if not param.flags.c_contiguous:
+                raise ValueError(f"parameter {name} must be C-contiguous")
+            flat = [a.reshape(-1) for a in (param, grads[name], self.m[name], self.v[name])]
+            for lo in range(0, param.size, block):
+                p, g, m, v = (a[lo:lo + block] for a in flat)
+                den = self._scratch[:g.size]
+                num = self._scratch[block:block + g.size]
+                m *= self.beta1                                  # beta1 * m
+                m += np.multiply(1.0 - self.beta1, g, out=num)   # + (1 - beta1) * g
+                v *= self.beta2                                  # beta2 * v
+                np.multiply(1.0 - self.beta2, g, out=den)
+                v += np.multiply(den, g, out=den)                # + ((1 - beta2) * g) * g
+                np.sqrt(np.divide(v, c2, out=den), out=den)
+                den += self.eps                                  # sqrt(v_hat) + eps
+                np.divide(m, c1, out=num)
+                num *= self.lr                                   # lr * m_hat
+                p -= np.divide(num, den, out=num)
 
 
 def example_sequence(table: EmbeddingTable, query_terms, candidate: str) -> np.ndarray:

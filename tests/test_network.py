@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_network
 
 from qexp.classifier.network import (
     DIFF_CLASS,
@@ -22,13 +23,35 @@ def sig(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def sigmoid_of(z):
+    out = np.array(z, dtype=np.float64)
+    return _sigmoid(out, np.empty_like(out))
+
+
 def test_sigmoid_stable_and_correct():
     z = np.array([-1000.0, -5.0, 0.0, 5.0, 1000.0])
-    out = _sigmoid(z)
+    out = sigmoid_of(z)
     assert out[0] == 0.0 and out[4] == 1.0
     assert out[2] == 0.5
     assert out[1] == pytest.approx(sig(-5.0), rel=1e-14)
     assert out[3] == pytest.approx(sig(5.0), rel=1e-14)
+
+    # Bit for bit the two-branch masked form, on edge values and on widths
+    # that leave a remainder after every SIMD lane width.
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, 1000.0, -1000.0, tiny, -tiny, 1e-310, -1e-310,
+                      np.nan, -np.nan, np.inf, -np.inf, 36.8, -36.8, 745.2, -745.2])
+    rng = np.random.default_rng(11)
+    for width in (1, 3, 7, 9, 15, 17, 31, 33, 401):
+        z = rng.permutation(np.concatenate([edges, rng.standard_normal(width) * 10.0]))[:width]
+        for arr in (z, z.reshape(1, -1), np.stack([z, -z])[:, ::2]):
+            want = reference_network.sigmoid(arr)
+            assert sigmoid_of(arr).tobytes() == want.tobytes(), (width, arr)
+            strided = np.empty(arr.shape + (2,))[..., 0]
+            strided[...] = arr
+            _sigmoid(strided, np.empty_like(arr))
+            assert np.ascontiguousarray(strided).tobytes() == want.tobytes(), (width, arr)
+    assert sigmoid_of(edges).tobytes() == reference_network.sigmoid(edges).tobytes()
 
 
 def test_softmax_rows_sum_to_one():
@@ -223,3 +246,27 @@ def test_gradients_flow_to_every_tensor():
     _, grads = m.pair_loss_and_grads([left], [right], [True])
     for name in PARAM_ORDER:
         assert np.any(grads[name] != 0.0), name
+
+
+def test_gradient_check_snapshots_analytic_gradients():
+    """The perturbed evaluations reuse the model's gradient buffers; the
+    analytic gradients must be a copy taken before them."""
+    rng = np.random.default_rng(8)
+    m = SiameseModel(3, 2, 3, rng)
+    left, right = rng.standard_normal((2, 3)), rng.standard_normal((3, 3))
+    real = m.pair_loss_and_grads
+    returned = []
+
+    def scribbling(*args):
+        loss, grads = real(*args)
+        returned.append(grads)
+        if len(returned) > 1:  # a perturbed evaluation: its gradients are unused
+            for g in grads.values():
+                g.fill(np.nan)
+        return loss, grads
+
+    m.pair_loss_and_grads = scribbling
+    errors = gradient_check(m, left, right, True)
+    assert all(g is returned[0] for g in returned)  # the buffers are shared
+    assert max(errors.values()) < 1e-4, errors
+

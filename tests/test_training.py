@@ -4,11 +4,13 @@ import logging
 
 import numpy as np
 import pytest
+from reference_network import ReferenceAdam, ReferenceModel
 
 from qexp.classifier.network import PARAM_ORDER, SiameseModel
 from qexp.classifier.pairs import generate_pairs
-from qexp.classifier.training import (Adam, TrainConfig, encodable_examples,
-                                      example_sequence, pair_accuracy, train)
+from qexp.classifier.training import (ADAM_BLOCK, Adam, TrainConfig,
+                                      encodable_examples, example_sequence,
+                                      pair_accuracy, train)
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import Label, LabeledDataset, LabeledExample
 
@@ -52,28 +54,81 @@ def test_train_config_validation():
 
 def test_adam_matches_update_formula():
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    params = {"w": np.array([1.0, -2.0, 0.5])}
+    rng = np.random.default_rng(3)
+    # "u" spans three of the update's blocks, the last one partly.
+    shapes = {"w": (3,), "u": (2, ADAM_BLOCK + 7), "b": (17,), "s": ()}
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    want = {name: p.copy() for name, p in params.items()}
     adam = Adam(params, lr, b1, b2, eps)
-    grads = [{"w": np.array([0.5, -1.0, 0.0])},
-             {"w": np.array([-0.25, 2.0, 1.0])}]
+    steps = [{name: rng.standard_normal(shape) for name, shape in shapes.items()}
+             for _ in range(4)]
+    steps[1]["w"] = np.array([0.0, -0.0, 1e-300])
 
     # shadow computation with the standard bias-corrected update
-    w = np.array([1.0, -2.0, 0.5])
-    m = np.zeros(3)
-    v = np.zeros(3)
-    for t, g in enumerate([grads[0]["w"], grads[1]["w"]], start=1):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+    for name in shapes:
+        w = want[name]
+        m = np.zeros_like(w)
+        v = np.zeros_like(w)
+        for t, grads in enumerate(steps, start=1):
+            g = grads[name]
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+        want[name] = w
 
-    adam.step(params, grads[0])
-    adam.step(params, grads[1])
-    assert adam.t == 2
-    np.testing.assert_allclose(params["w"], w, rtol=1e-12, atol=0)
+    for grads in steps:
+        before = {name: g.copy() for name, g in grads.items()}
+        adam.step(params, grads)
+        for name, g in grads.items():  # the caller's gradients are only read
+            assert g.tobytes() == before[name].tobytes(), name
+    assert adam.t == len(steps)
+    for name in shapes:
+        assert params[name].tobytes() == want[name].tobytes(), name
+
+    one = {"w": np.array([1.0, -2.0, 0.5])}
+    Adam(one, lr).step(one, {"w": np.array([0.5, -1.0, 0.0])})
     # first component moved down (positive gradient), second moved up
-    assert params["w"][0] < 1.0 and params["w"][1] > -2.0
+    assert one["w"][0] < 1.0 and one["w"][1] > -2.0
+
+
+def test_adam_rejects_non_contiguous_parameter():
+    params = {"w": np.zeros((4, 4))[:, ::2]}
+    with pytest.raises(ValueError, match="w must be C-contiguous"):
+        Adam(params, 0.1).step(params, {"w": np.ones((4, 2))})
+
+
+@pytest.mark.parametrize("pooling", ["last", "mean"])
+def test_training_steps_match_allocating_reference(pooling):
+    """A few batches through the reused-buffer model and in-place Adam give
+    the same bits as the allocating reference: every loss, every parameter."""
+    d, h, r = 7, 5, 6
+    rng = np.random.default_rng(12)
+    model = SiameseModel(d, h, r, np.random.default_rng(13), pooling)
+    ref = ReferenceModel(d, h, r, np.random.default_rng(13), pooling)
+    adam, ref_adam = Adam(model.params, 0.01), ReferenceAdam(ref.params, 0.01)
+    batches = [
+        [(1, 1, True), (1, 1, False)],                  # t = 0 only
+        [(1, 2, True), (3, 4, False), (2, 2, True), (4, 1, False), (3, 3, True)],
+        [(4, 4, False), (2, 3, True), (1, 4, True)],
+        [(2, 1, False), (3, 2, True), (4, 3, False), (1, 1, True)],
+    ]
+    for batch in batches:
+        lefts = [rng.standard_normal((tl, d)) for tl, _, _ in batch]
+        rights = [rng.standard_normal((tr, d)) for _, tr, _ in batch]
+        same = [flag for _, _, flag in batch]
+        loss, grads = model.pair_loss_and_grads(lefts, rights, same)
+        ref_loss, ref_grads = ref.pair_loss_and_grads(lefts, rights, same)
+        assert loss == ref_loss
+        for name in PARAM_ORDER:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        adam.step(model.params, grads)
+        ref_adam.step(ref.params, ref_grads)
+        for name in PARAM_ORDER:  # bytes, so signed zeros must match too
+            assert model.params[name].tobytes() == ref.params[name].tobytes(), name
+    seq = rng.standard_normal((3, d))
+    assert model.encode(seq).tobytes() == ref.encode(seq).tobytes()
 
 
 def test_example_sequence_rows_and_errors():

@@ -12,7 +12,7 @@ from qexp.classifier.checkpoint import load_model, save_model, write_loss_csv
 from qexp.classifier.inference import build_reference_set, encode_reference_set
 from qexp.classifier.network import SiameseModel, gradient_check
 from qexp.classifier.training import TrainConfig, train
-from qexp.expansion import ExpansionConfig
+from qexp.expansion import ExpansionConfig, build_query_model
 from qexp.retrieval import retrieve, write_run
 
 log = logging.getLogger(__name__)
@@ -148,9 +148,10 @@ def cmd_expand(args) -> int:
 
     models = []
     for topic in topics:
-        models.append(experiment.build_query_model(
-            args.method, topic, table, idx, ecfg, stop, model, refset, ref_reps,
-            cfg.symmetric_compare))
+        pool = [] if args.method == "qlm" else labeling.scored_candidate_pool(
+            topic, table, idx, ecfg.pool_size, stop)
+        models.append(build_query_model(args.method, topic, pool, table, ecfg, model,
+                                        refset, ref_reps, cfg.symmetric_compare))
     ranked = [retrieve(qm, idx, cfg.mu, cfg.depth) for qm in models]
     tag = args.tag or args.method
     run_path = _out(cfg, f"run_{args.method}.txt")

@@ -5,7 +5,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from qexp.classifier.inference import ReferenceSet, encode_reference_set, p_good
+from qexp.classifier.inference import ReferenceSet, p_good
 from qexp.classifier.network import SiameseModel
 from qexp.collection import InvertedIndex, Topic
 from qexp.config import Config
@@ -26,6 +26,8 @@ class ExpansionConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.pool_size < 1:
+            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
@@ -60,15 +62,13 @@ def qlm_model(topic: Topic) -> QueryModel:
     return interpolate(topic, {}, beta=1.0)
 
 
-def awe_selection(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
-                  cfg: ExpansionConfig, stopwords=frozenset()) -> list[tuple[str, float]]:
+def _centroid_selection(topic: Topic, pool, m: int) -> list[tuple[str, float]]:
     """Top-m pool terms by cosine to the query centroid.
 
     Non-positive cosines cannot serve as expansion weights and are dropped
     with a warning.
     """
-    pool = scored_candidate_pool(topic, table, idx, cfg.pool_size, stopwords)
-    selected = pool[:cfg.m]
+    selected = pool[:m]
     kept = [(t, sim) for t, sim in selected if sim > 0.0]
     if len(kept) < len(selected):
         log.warning("query %s: dropped %d expansion terms with non-positive cosine",
@@ -76,37 +76,13 @@ def awe_selection(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
     return kept
 
 
-def _normalize(weighted: list[tuple[str, float]]) -> dict[str, float]:
-    total = 0.0
-    for _, w in weighted:
-        total += w
-    return {t: w / total for t, w in weighted}
-
-
-def awe_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
-               cfg: ExpansionConfig, stopwords=frozenset()) -> QueryModel:
-    """Expansion terms weighted by their cosine to the query embedding centroid."""
-    selection = awe_selection(topic, table, idx, cfg, stopwords)
-    if not selection:
-        log.warning("query %s: empty expansion selection, original query kept",
-                    topic.query_id)
-        return qlm_model(topic)
-    return interpolate(topic, _normalize(selection), cfg.beta)
-
-
-def eqe1_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
-                cfg: ExpansionConfig, stopwords=frozenset()) -> QueryModel:
-    """Expansion terms scored by their multiplicative similarity to query terms.
+def _multiplicative_selection(topic: Topic, pool, table: EmbeddingTable,
+                              m: int) -> list[tuple[str, float]]:
+    """Top-m pool terms by multiplicative similarity to the query terms.
 
     score(x) = prod over query terms w of softmax-normalized exp(cos(x, w)),
     the normalization running over the candidate pool for each query term.
-    An empty pool leaves the unexpanded query.
     """
-    pool = scored_candidate_pool(topic, table, idx, cfg.pool_size, stopwords)
-    if not pool:
-        log.warning("query %s: empty candidate pool, original query kept",
-                    topic.query_id)
-        return qlm_model(topic)
     pool_terms = [t for t, _ in pool]
     query_terms = [t for t in topic.title_terms if t in table]
     scores = {t: 1.0 for t in pool_terms}
@@ -117,30 +93,67 @@ def eqe1_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
         for t, s in zip(pool_terms, sims):
             scores[t] *= s / denom
     ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
-    selection = ranked[:cfg.m]
+    return ranked[:m]
+
+
+def _normalize(weighted: list[tuple[str, float]]) -> dict[str, float]:
+    total = 0.0
+    for _, w in weighted:
+        total += w
+    return {t: w / total for t, w in weighted}
+
+
+def build_query_model(method: str, topic: Topic, pool, table: EmbeddingTable,
+                      cfg: ExpansionConfig, model: SiameseModel | None = None,
+                      refset: ReferenceSet | None = None, ref_reps=None,
+                      symmetric: bool = Config.symmetric_compare) -> QueryModel:
+    """The weighted query one method retrieves with, built from the topic's
+    scored candidate pool.
+
+    dec keeps awe's selection and weights each of its terms by
+    (1 + alpha * P(good | query, term)) * cosine. An empty selection leaves
+    the unexpanded query.
+    """
+    if method == "qlm":
+        return qlm_model(topic)
+    if method == "awe":
+        selection = _centroid_selection(topic, pool, cfg.m)
+    elif method == "eqe1":
+        selection = _multiplicative_selection(topic, pool, table, cfg.m)
+    elif method == "dec":
+        selection = []
+        for term, sim in _centroid_selection(topic, pool, cfg.m):
+            prob = p_good(topic.title_terms, term, model, refset, table,
+                          ref_reps=ref_reps, symmetric=symmetric)
+            selection.append((term, (1.0 + cfg.alpha * prob) * sim))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if not selection:
+        log.warning("query %s: empty expansion selection, original query kept",
+                    topic.query_id)
+        return qlm_model(topic)
     return interpolate(topic, _normalize(selection), cfg.beta)
+
+
+def awe_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
+               cfg: ExpansionConfig, stopwords=frozenset()) -> QueryModel:
+    """Expansion terms weighted by their cosine to the query embedding centroid."""
+    pool = scored_candidate_pool(topic, table, idx, cfg.pool_size, stopwords)
+    return build_query_model("awe", topic, pool, table, cfg)
+
+
+def eqe1_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
+                cfg: ExpansionConfig, stopwords=frozenset()) -> QueryModel:
+    """Expansion terms scored by their multiplicative similarity to query terms."""
+    pool = scored_candidate_pool(topic, table, idx, cfg.pool_size, stopwords)
+    return build_query_model("eqe1", topic, pool, table, cfg)
 
 
 def dec_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
                model: SiameseModel, refset: ReferenceSet, cfg: ExpansionConfig,
                stopwords=frozenset(), ref_reps=None,
                symmetric: bool = Config.symmetric_compare) -> QueryModel:
-    """Reweight the centroid-based selection by predicted term goodness.
-
-    Each of the same top-m terms the centroid method selects gets weight
-    (1 + alpha * P(good | query, term)) * cosine; the selection itself never
-    changes, only the weights.
-    """
-    selection = awe_selection(topic, table, idx, cfg, stopwords)
-    if not selection:
-        log.warning("query %s: empty expansion selection, original query kept",
-                    topic.query_id)
-        return qlm_model(topic)
-    if ref_reps is None:
-        ref_reps = encode_reference_set(model, refset, table)
-    reweighted = []
-    for term, sim in selection:
-        prob = p_good(topic.title_terms, term, model, refset, table,
-                      ref_reps=ref_reps, symmetric=symmetric)
-        reweighted.append((term, (1.0 + cfg.alpha * prob) * sim))
-    return interpolate(topic, _normalize(reweighted), cfg.beta)
+    """The centroid method's selection, reweighted by predicted term goodness."""
+    pool = scored_candidate_pool(topic, table, idx, cfg.pool_size, stopwords)
+    return build_query_model("dec", topic, pool, table, cfg, model, refset,
+                             ref_reps, symmetric)

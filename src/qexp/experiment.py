@@ -6,20 +6,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from qexp import labeling
 from qexp.classifier.inference import build_reference_set, encode_reference_set
 from qexp.classifier.training import TrainConfig, train
 from qexp.collection import InvertedIndex, Qrels
 from qexp.config import Config
 from qexp.embeddings import EmbeddingTable
 from qexp.evaluation import Comparison, EvalResult, evaluate_rankings
-from qexp.expansion import (
-    ExpansionConfig,
-    awe_expand,
-    dec_expand,
-    eqe1_expand,
-    qlm_model,
-)
-from qexp.labeling import LabeledDataset
+from qexp.expansion import ExpansionConfig, build_query_model
 from qexp.retrieval import retrieve
 
 log = logging.getLogger(__name__)
@@ -55,7 +49,7 @@ def partition_folds(query_ids, k: int, rng: np.random.Generator) -> list[list[st
 
 
 def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTable,
-                   dataset: LabeledDataset | None, methods=METHODS,
+                   dataset: labeling.LabeledDataset | None, methods=METHODS,
                    folds: int = Config.folds, seed: int = Config.seed,
                    expansion_cfg: ExpansionConfig | None = None,
                    train_cfg: TrainConfig | None = None,
@@ -67,7 +61,8 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
 
     The classifier method trains one model per fold on the other folds'
     labeled examples and builds its reference set from the same training
-    split; every other method ignores the training data entirely.
+    split; every other method ignores the training data entirely. Each test
+    topic's candidate pool is scanned once and shared by the expansion methods.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in METHODS]
@@ -91,6 +86,7 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
     fold_ids = partition_folds(topic_of.keys(), folds, fold_rng)
     fold_seeds = seed_seq.spawn(folds)
 
+    expands = any(m != "qlm" for m in methods)
     rankings: dict[str, list] = {m: [] for m in methods}
     for f, test_qids in enumerate(fold_ids):
         test_topics = [topic_of[q] for q in test_qids]
@@ -113,10 +109,11 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
             ref_reps = encode_reference_set(model, refset, table)
 
         for topic in test_topics:
+            pool = labeling.scored_candidate_pool(
+                topic, table, idx, expansion_cfg.pool_size, stopwords) if expands else []
             for method in methods:
-                qm = build_query_model(method, topic, table, idx, expansion_cfg,
-                                       stopwords, model, refset, ref_reps,
-                                       symmetric_compare)
+                qm = build_query_model(method, topic, pool, table, expansion_cfg,
+                                       model, refset, ref_reps, symmetric_compare)
                 rankings[method].append(retrieve(qm, idx, mu, depth))
 
     results = {m: evaluate_rankings(rankings[m], qrels, depth) for m in methods}
@@ -128,22 +125,6 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
             comparisons[(baseline, treatment)] = Comparison(
                 results[baseline], results[treatment])
     return ExperimentResult(results, comparisons, folds)
-
-
-def build_query_model(method, topic, table, idx, cfg, stopwords=frozenset(),
-                      model=None, refset=None, ref_reps=None,
-                      symmetric=Config.symmetric_compare):
-    """Produce the weighted query a single method would retrieve with."""
-    if method == "qlm":
-        return qlm_model(topic)
-    if method == "awe":
-        return awe_expand(topic, table, idx, cfg, stopwords)
-    if method == "eqe1":
-        return eqe1_expand(topic, table, idx, cfg, stopwords)
-    if method == "dec":
-        return dec_expand(topic, table, idx, model, refset, cfg, stopwords,
-                          ref_reps=ref_reps, symmetric=symmetric)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def format_report(result: ExperimentResult) -> str:

@@ -149,6 +149,8 @@ def scored_candidate_pool(topic: Topic, table: EmbeddingTable, idx: InvertedInde
     with no title term in the embedding vocabulary has no centroid and an
     empty pool.
     """
+    if pool_size < 1:
+        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
     if not any(t in table for t in topic.title_terms):
         log.warning("query %s: no title term in the embedding vocabulary, "
                     "empty candidate pool", topic.query_id)

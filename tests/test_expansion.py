@@ -13,14 +13,16 @@ from qexp.embeddings import EmbeddingTable, cosine
 from qexp.expansion import (
     ExpansionConfig,
     awe_expand,
-    awe_selection,
+    build_query_model,
     dec_expand,
     eqe1_expand,
     interpolate,
     qlm_model,
 )
-from qexp.labeling import Label, LabeledDataset, LabeledExample
+from qexp.labeling import Label, LabeledDataset, LabeledExample, scored_candidate_pool
 from qexp.retrieval import retrieve, write_run
+
+from synthworld import mismatch_world
 
 
 @pytest.fixture()
@@ -51,6 +53,10 @@ def test_config_validation():
         ExpansionConfig(alpha=-0.5)
     with pytest.raises(ValueError, match="beta"):
         ExpansionConfig(beta=1.5)
+    with pytest.raises(ValueError, match="pool_size must"):
+        ExpansionConfig(pool_size=0)
+    with pytest.raises(ValueError, match="pool_size must"):
+        ExpansionConfig(pool_size=-1)
 
 
 def test_interpolate_hand_math():
@@ -78,13 +84,14 @@ def test_qlm_model_is_normalized_counts():
 def test_awe_selection_and_weights(world):
     topic, table, idx = world
     cfg = ExpansionConfig(m=3, pool_size=10, beta=0.5)
-    selection = awe_selection(topic, table, idx, cfg)
-    assert [t for t, _ in selection] == ["a", "b", "c"]
+    pool = scored_candidate_pool(topic, table, idx, cfg.pool_size)
+    assert [t for t, _ in pool][:3] == ["a", "b", "c"]
     qv = table.vector("q")
-    for term, sim in selection:
+    for term, sim in pool:
         assert sim == pytest.approx(cosine(qv, table.vector(term)), abs=1e-12)
 
-    qm = awe_expand(topic, table, idx, cfg)
+    qm = build_query_model("awe", topic, pool, table, cfg)
+    assert set(qm.weights) == {"q", "a", "b", "c"}
     sims = {t: cosine(qv, table.vector(t)) for t in ("a", "b", "c")}
     total = sum(sims.values())
     assert qm.weights["q"] == pytest.approx(0.5)
@@ -96,10 +103,12 @@ def test_awe_selection_and_weights(world):
 def test_awe_drops_non_positive_cosines(world, caplog):
     topic, table, idx = world
     cfg = ExpansionConfig(m=5, pool_size=10)
+    pool = scored_candidate_pool(topic, table, idx, cfg.pool_size)
+    assert [t for t, _ in pool] == ["a", "b", "c", "d", "neg"]
     with caplog.at_level("WARNING"):
-        selection = awe_selection(topic, table, idx, cfg)
-    assert [t for t, _ in selection] == ["a", "b", "c"]
-    assert "non-positive cosine" in caplog.text
+        qm = build_query_model("awe", topic, pool, table, cfg)
+    assert set(qm.weights) == {"q", "a", "b", "c"}
+    assert "dropped 2 expansion terms with non-positive cosine" in caplog.text
 
 
 def _run_bytes(qm, idx, path):
@@ -215,3 +224,46 @@ def test_dec_symmetric_mode_runs(dec_setup):
     cfg = ExpansionConfig(m=3, pool_size=10)
     qm = dec_expand(topic, table, idx, model, refset, cfg, symmetric=True)
     assert sum(qm.weights.values()) == pytest.approx(1.0)
+
+
+def _world_with_refset(request, name):
+    """(topics, idx, table, stopwords, dataset) on the bundled fixtures or on
+    the mismatch world, the latter with a topic no embedding covers."""
+    if name == "fixtures":
+        topics = request.getfixturevalue("mini_topics")
+        idx = request.getfixturevalue("mini_index")
+        table = request.getfixturevalue("tiny_table")
+        stop = request.getfixturevalue("stopwords")
+        qid, qterms, good, bad = "701", ["solar", "energy", "cost"], "panel", "coal"
+    else:
+        topics, idx, _, table = mismatch_world()
+        topics.append(Topic("zz", ["bgt1", "bgt2"]))
+        stop = frozenset()
+        qid, qterms, good, bad = "m00", ["m00qa", "m00qb"], "m00g0", "m00b0"
+    ds = LabeledDataset([LabeledExample(qid, qterms, good, Label.GOOD, 0.1),
+                         LabeledExample(qid, qterms, bad, Label.BAD, -0.1)])
+    return topics, idx, table, stop, ds
+
+
+@pytest.mark.parametrize("name", ["fixtures", "mismatch"])
+@pytest.mark.parametrize("method", ["awe", "eqe1", "dec"])
+def test_wrappers_equal_the_shared_pool_path(request, name, method):
+    topics, idx, table, stop, ds = _world_with_refset(request, name)
+    model = SiameseModel(table.dim, 3, 4, np.random.default_rng(0))
+    refset = build_reference_set(ds, table, 2, np.random.default_rng(1))
+    cfg = ExpansionConfig(m=3, pool_size=12)
+    expanded = 0
+    for topic in topics:
+        pool = scored_candidate_pool(topic, table, idx, cfg.pool_size, stop)
+        shared = build_query_model(method, topic, pool, table, cfg, model, refset)
+        if method == "awe":
+            wrapped = awe_expand(topic, table, idx, cfg, stop)
+        elif method == "eqe1":
+            wrapped = eqe1_expand(topic, table, idx, cfg, stop)
+        else:
+            wrapped = dec_expand(topic, table, idx, model, refset, cfg, stop)
+        assert wrapped.query_id == shared.query_id
+        assert wrapped.weights == shared.weights  # exact float equality
+        expanded += len(shared.weights) > len(set(topic.title_terms))
+    assert expanded >= 2
+

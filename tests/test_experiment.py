@@ -6,11 +6,14 @@ import pytest
 from qexp.classifier.training import TrainConfig
 from qexp.collection import Topic
 from qexp.evaluation import Comparison, EvalResult, evaluate_rankings
-from qexp.experiment import (ExperimentResult, _sig_markers, build_query_model,
-                             cross_validate, format_report, partition_folds,
-                             per_query_csv, report_tsv)
-from qexp.expansion import ExpansionConfig, qlm_model
-from qexp.labeling import Label, LabeledDataset, LabeledExample, build_dataset
+from qexp import labeling
+from qexp.experiment import (ExperimentResult, _sig_markers, cross_validate,
+                             format_report, partition_folds, per_query_csv,
+                             report_tsv)
+from qexp.expansion import (ExpansionConfig, awe_expand, build_query_model,
+                            eqe1_expand, qlm_model)
+from qexp.labeling import (Label, LabeledDataset, LabeledExample, build_dataset,
+                           scored_candidate_pool)
 from qexp.retrieval import retrieve
 
 from synthworld import mismatch_world
@@ -47,10 +50,11 @@ def test_cv_static_methods_match_direct_evaluation(
     eligible = [t for t in mini_topics if mini_qrels.num_relevant(t.query_id) > 0]
     assert {t.query_id for t in eligible} == {"701", "702"}
     cfg = ExpansionConfig()
+    public = {"qlm": lambda t: qlm_model(t),
+              "awe": lambda t: awe_expand(t, tiny_table, mini_index, cfg, stopwords),
+              "eqe1": lambda t: eqe1_expand(t, tiny_table, mini_index, cfg, stopwords)}
     for method in methods:
-        rankings = [retrieve(build_query_model(method, t, tiny_table, mini_index,
-                                               cfg, stopwords), mini_index)
-                    for t in eligible]
+        rankings = [retrieve(public[method](t), mini_index) for t in eligible]
         direct = evaluate_rankings(rankings, mini_qrels)
         assert result.results[method].per_query_ap == direct.per_query_ap
         assert result.results[method].per_query_p10 == direct.per_query_p10
@@ -60,8 +64,7 @@ def test_cv_static_methods_match_direct_evaluation(
     assert ("qlm", "qlm") not in result.comparisons
 
 
-def test_cv_classifier_method_runs_and_is_seeded(
-        mini_topics, mini_index, mini_qrels, tiny_table, stopwords):
+def _mini_dataset():
     exs = []
     for qid, qterms, good, bad in [
         ("701", ["solar", "energy", "cost"], ["panel", "cheap"], ["coal", "wind"]),
@@ -71,10 +74,18 @@ def test_cv_classifier_method_runs_and_is_seeded(
             exs.append(LabeledExample(qid, qterms, t, Label.GOOD, 0.1))
         for t in bad:
             exs.append(LabeledExample(qid, qterms, t, Label.BAD, -0.1))
-    ds = LabeledDataset(exs)
-    kwargs = dict(methods=("qlm", "dec"), folds=2, seed=3,
-                  train_cfg=TrainConfig(epochs=1, batch_size=4, pair_budget=8),
-                  refset_size=4, hidden=3, rep=4, stopwords=stopwords)
+    return LabeledDataset(exs)
+
+
+DEC_KWARGS = dict(train_cfg=TrainConfig(epochs=1, batch_size=4, pair_budget=8),
+                  refset_size=4, hidden=3, rep=4)
+
+
+def test_cv_classifier_method_runs_and_is_seeded(
+        mini_topics, mini_index, mini_qrels, tiny_table, stopwords):
+    ds = _mini_dataset()
+    kwargs = dict(methods=("qlm", "dec"), folds=2, seed=3, stopwords=stopwords,
+                  **DEC_KWARGS)
     r1 = cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, ds, **kwargs)
     assert set(r1.results) == {"qlm", "dec"}
     assert r1.results["dec"].num_queries == 2
@@ -105,27 +116,58 @@ def test_cv_validation_errors(mini_topics, mini_index, mini_qrels, tiny_table,
                        stopwords=stopwords)
 
 
-def test_topic_without_embedded_title_term_is_kept_unexpanded():
+def _count_neighbor_scans(monkeypatch):
+    calls = []
+    scan = labeling.top_k_neighbors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(labeling, "top_k_neighbors", counted)
+    return calls
+
+
+def test_cv_scans_one_candidate_pool_per_topic(
+        monkeypatch, mini_topics, mini_index, mini_qrels, tiny_table, stopwords):
+    calls = _count_neighbor_scans(monkeypatch)
+    cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, _mini_dataset(),
+                   methods=("qlm", "awe", "eqe1", "dec"), folds=2, seed=3,
+                   stopwords=stopwords, **DEC_KWARGS)
+    assert len(calls) == 2  # one per eligible topic, 701 and 702
+    calls.clear()
+    cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, None,
+                   methods=("qlm",), folds=2, stopwords=stopwords)
+    assert calls == []
+
+
+def test_topic_without_embedded_title_term_is_kept_unexpanded(caplog):
     topics, idx, qrels, table = mismatch_world()
     topics.append(Topic("zz", ["bgt1", "bgt2"]))  # in the index, not in the table
     qrels.add("zz", "bg00", 1)
     dataset = build_dataset(topics, idx, qrels, table)
     assert "zz" not in {ex.query_id for ex in dataset.examples}
-    result = cross_validate(topics, idx, qrels, table, None,
-                            methods=("qlm", "awe", "eqe1"), folds=2,
-                            expansion_cfg=ExpansionConfig(pool_size=12))
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        result = cross_validate(topics, idx, qrels, table, None,
+                                methods=("qlm", "awe", "eqe1"), folds=2,
+                                expansion_cfg=ExpansionConfig(pool_size=12))
     aps = {m: result.results[m].per_query_ap["zz"] for m in ("qlm", "awe", "eqe1")}
     assert aps["awe"] == aps["eqe1"] == aps["qlm"]
+    assert caplog.text.count("query zz: no title term in the embedding vocabulary") == 1
 
 
 def test_build_query_model_dispatch(mini_topics, mini_index, tiny_table,
                                     stopwords):
     topic = mini_topics[0]
     cfg = ExpansionConfig()
-    qm = build_query_model("qlm", topic, tiny_table, mini_index, cfg, stopwords)
+    pool = scored_candidate_pool(topic, tiny_table, mini_index, cfg.pool_size,
+                                 stopwords)
+    assert pool
+    qm = build_query_model("qlm", topic, pool, tiny_table, cfg)
     assert qm.weights == qlm_model(topic).weights
     with pytest.raises(ValueError, match="unknown method 'bm25'"):
-        build_query_model("bm25", topic, tiny_table, mini_index, cfg, stopwords)
+        build_query_model("bm25", topic, pool, tiny_table, cfg)
 
 
 def _handmade_result():

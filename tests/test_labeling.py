@@ -105,6 +105,15 @@ def test_candidate_pool_filters(planted, planted_table):
     assert terms(stopwords={"pad"}) == ["boost", "trap"]
 
 
+@pytest.mark.parametrize("pool_size", [0, -1])
+def test_pool_size_below_one_is_rejected(planted, planted_table, pool_size):
+    topic, idx, qrels = planted
+    with pytest.raises(ValueError, match="pool_size must be >= 1"):
+        scored_candidate_pool(topic, planted_table, idx, pool_size)
+    with pytest.raises(ValueError, match="pool_size must be >= 1"):
+        build_dataset([topic], idx, qrels, planted_table, pool_size=pool_size)
+
+
 def test_build_dataset(planted, planted_table):
     topic, idx, qrels = planted
     ds = build_dataset([topic], idx, qrels, planted_table)

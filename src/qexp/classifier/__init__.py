@@ -1,40 +1,1 @@
 """Siamese term-goodness classifier: network, pairing, training, inference."""
-
-from qexp.classifier.network import SiameseModel, gradient_check
-from qexp.classifier.pairs import PairExample, all_ordered_pairs, generate_pairs
-from qexp.classifier.training import (
-    Adam,
-    TrainConfig,
-    example_sequence,
-    pair_accuracy,
-    train,
-)
-from qexp.classifier.inference import (
-    ReferenceSet,
-    build_reference_set,
-    encode_reference_set,
-    p_good,
-    p_good_from_outcomes,
-)
-from qexp.classifier.checkpoint import load_model, save_model, write_loss_csv
-
-__all__ = [
-    "Adam",
-    "PairExample",
-    "ReferenceSet",
-    "SiameseModel",
-    "TrainConfig",
-    "all_ordered_pairs",
-    "build_reference_set",
-    "encode_reference_set",
-    "example_sequence",
-    "generate_pairs",
-    "gradient_check",
-    "load_model",
-    "p_good",
-    "p_good_from_outcomes",
-    "pair_accuracy",
-    "save_model",
-    "train",
-    "write_loss_csv",
-]

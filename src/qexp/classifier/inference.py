@@ -95,14 +95,13 @@ def p_good_from_outcomes(same_flags, labels) -> float:
 
 
 def p_good(query_terms, candidate: str, model: SiameseModel, refset: ReferenceSet,
-           table: EmbeddingTable, ref_reps: np.ndarray | None = None,
-           symmetric: bool = Config.symmetric_compare) -> float:
+           table: EmbeddingTable, ref_reps: np.ndarray | None = None) -> float:
     """Probability the candidate is a good expansion term for the query.
 
     The (query, candidate) input is compared against every reference item;
     each comparison is thresholded at 0.5 into same/different. Candidates
-    outside the embedding vocabulary get probability 0. With symmetric=True
-    each comparison averages both feeding orders before thresholding.
+    outside the embedding vocabulary get probability 0. Without ref_reps the
+    reference set is encoded on this call.
     """
     if candidate not in table:
         return 0.0
@@ -111,7 +110,5 @@ def p_good(query_terms, candidate: str, model: SiameseModel, refset: ReferenceSe
         ref_reps = encode_reference_set(model, refset, table)
     tiled = np.tile(rep, (len(refset), 1))
     probs = model.compare_probs(tiled, ref_reps)[:, SAME_CLASS]
-    if symmetric:
-        probs = 0.5 * (probs + model.compare_probs(ref_reps, tiled)[:, SAME_CLASS])
     same_flags = [bool(p >= 0.5) for p in probs]
     return p_good_from_outcomes(same_flags, refset.labels())

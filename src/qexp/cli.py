@@ -151,7 +151,7 @@ def cmd_expand(args) -> int:
         pool = [] if args.method == "qlm" else labeling.scored_candidate_pool(
             topic, table, idx, ecfg.pool_size, stop)
         models.append(build_query_model(args.method, topic, pool, table, ecfg, model,
-                                        refset, ref_reps, cfg.symmetric_compare))
+                                        refset, ref_reps))
     ranked = [retrieve(qm, idx, cfg.mu, cfg.depth) for qm in models]
     tag = args.tag or args.method
     run_path = _out(cfg, f"run_{args.method}.txt")
@@ -175,7 +175,7 @@ def cmd_eval(args) -> int:
         seed=cfg.seed, expansion_cfg=_expansion_config(cfg),
         train_cfg=_train_config(cfg), refset_size=cfg.refset_size, hidden=cfg.hidden,
         rep=cfg.rep, pooling=cfg.pooling, stopwords=stop, mu=cfg.mu,
-        depth=cfg.depth, symmetric_compare=cfg.symmetric_compare)
+        depth=cfg.depth)
     report = experiment.format_report(result)
     _out(cfg, "report.txt").write_text(report)
     _out(cfg, "report.tsv").write_text(experiment.report_tsv(result))

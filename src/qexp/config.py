@@ -46,7 +46,6 @@ class Config:
     hidden: int = 200
     rep: int = 400
     pooling: str = "last"
-    symmetric_compare: bool = False
     # evaluation
     folds: int = 5
     # 0 = use every available core
@@ -64,13 +63,6 @@ def _coerce(key: str, raw: str):
     kind = _FIELDS[key]
     raw = raw.strip()
     try:
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind == "int":
             return int(raw)
         if kind == "float":

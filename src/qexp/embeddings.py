@@ -22,6 +22,10 @@ class EmbeddingTable:
             raise ValueError("embedding table needs at least one non-zero vector")
         self.terms = list(terms)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        finite = np.isfinite(self.matrix).all(axis=1)
+        if not finite.all():
+            bad = self.terms[int(np.argmin(finite))]
+            raise ValueError(f"non-finite vector component for term {bad!r}")
         self.dim = self.matrix.shape[1]
         self._row = {t: i for i, t in enumerate(self.terms)}
         norms = np.linalg.norm(self.matrix, axis=1)
@@ -34,6 +38,11 @@ class EmbeddingTable:
 
     def __len__(self):
         return len(self.terms)
+
+    def has_direction(self, term: str) -> bool:
+        """True for a term in the table whose vector is not all zeros."""
+        row = self._row.get(term)
+        return row is not None and not self._zero_rows[row]
 
     def vector(self, term: str) -> np.ndarray:
         try:

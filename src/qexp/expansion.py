@@ -5,7 +5,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from qexp.classifier.inference import ReferenceSet, p_good
+from qexp.classifier.inference import ReferenceSet, encode_reference_set, p_good
 from qexp.classifier.network import SiameseModel
 from qexp.collection import InvertedIndex, Topic
 from qexp.config import Config
@@ -82,9 +82,10 @@ def _multiplicative_selection(topic: Topic, pool, table: EmbeddingTable,
 
     score(x) = prod over query terms w of softmax-normalized exp(cos(x, w)),
     the normalization running over the candidate pool for each query term.
+    A query term with a zero vector has no direction and is skipped.
     """
     pool_terms = [t for t, _ in pool]
-    query_terms = [t for t in topic.title_terms if t in table]
+    query_terms = [t for t in topic.title_terms if table.has_direction(t)]
     scores = {t: 1.0 for t in pool_terms}
     for w in query_terms:
         wv = table.vector(w)
@@ -105,14 +106,13 @@ def _normalize(weighted: list[tuple[str, float]]) -> dict[str, float]:
 
 def build_query_model(method: str, topic: Topic, pool, table: EmbeddingTable,
                       cfg: ExpansionConfig, model: SiameseModel | None = None,
-                      refset: ReferenceSet | None = None, ref_reps=None,
-                      symmetric: bool = Config.symmetric_compare) -> QueryModel:
+                      refset: ReferenceSet | None = None, ref_reps=None) -> QueryModel:
     """The weighted query one method retrieves with, built from the topic's
     scored candidate pool.
 
     dec keeps awe's selection and weights each of its terms by
-    (1 + alpha * P(good | query, term)) * cosine. An empty selection leaves
-    the unexpanded query.
+    (1 + alpha * P(good | query, term)) * cosine; without ref_reps it encodes
+    the reference set once. An empty selection leaves the unexpanded query.
     """
     if method == "qlm":
         return qlm_model(topic)
@@ -121,11 +121,12 @@ def build_query_model(method: str, topic: Topic, pool, table: EmbeddingTable,
     elif method == "eqe1":
         selection = _multiplicative_selection(topic, pool, table, cfg.m)
     elif method == "dec":
-        selection = []
-        for term, sim in _centroid_selection(topic, pool, cfg.m):
-            prob = p_good(topic.title_terms, term, model, refset, table,
-                          ref_reps=ref_reps, symmetric=symmetric)
-            selection.append((term, (1.0 + cfg.alpha * prob) * sim))
+        selection = _centroid_selection(topic, pool, cfg.m)
+        if selection and ref_reps is None:
+            ref_reps = encode_reference_set(model, refset, table)
+        for i, (term, sim) in enumerate(selection):
+            prob = p_good(topic.title_terms, term, model, refset, table, ref_reps)
+            selection[i] = (term, (1.0 + cfg.alpha * prob) * sim)
     else:
         raise ValueError(f"unknown method {method!r}")
     if not selection:
@@ -151,9 +152,7 @@ def eqe1_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
 
 def dec_expand(topic: Topic, table: EmbeddingTable, idx: InvertedIndex,
                model: SiameseModel, refset: ReferenceSet, cfg: ExpansionConfig,
-               stopwords=frozenset(), ref_reps=None,
-               symmetric: bool = Config.symmetric_compare) -> QueryModel:
+               stopwords=frozenset(), ref_reps=None) -> QueryModel:
     """The centroid method's selection, reweighted by predicted term goodness."""
     pool = scored_candidate_pool(topic, table, idx, cfg.pool_size, stopwords)
-    return build_query_model("dec", topic, pool, table, cfg, model, refset,
-                             ref_reps, symmetric)
+    return build_query_model("dec", topic, pool, table, cfg, model, refset, ref_reps)

@@ -55,8 +55,8 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
                    train_cfg: TrainConfig | None = None,
                    refset_size: int = Config.refset_size, hidden: int = Config.hidden,
                    rep: int = Config.rep, pooling: str = Config.pooling,
-                   stopwords=frozenset(), mu: float = Config.mu, depth: int = Config.depth,
-                   symmetric_compare: bool = Config.symmetric_compare) -> ExperimentResult:
+                   stopwords=frozenset(), mu: float = Config.mu,
+                   depth: int = Config.depth) -> ExperimentResult:
     """Evaluate methods on seeded k-fold splits; pool per-query metrics.
 
     The classifier method trains one model per fold on the other folds'
@@ -113,7 +113,7 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
                 topic, table, idx, expansion_cfg.pool_size, stopwords) if expands else []
             for method in methods:
                 qm = build_query_model(method, topic, pool, table, expansion_cfg,
-                                       model, refset, ref_reps, symmetric_compare)
+                                       model, refset, ref_reps)
                 rankings[method].append(retrieve(qm, idx, mu, depth))
 
     results = {m: evaluate_rankings(rankings[m], qrels, depth) for m in methods}

@@ -146,12 +146,12 @@ def scored_candidate_pool(topic: Topic, table: EmbeddingTable, idx: InvertedInde
 
     Query terms and stopwords are excluded; terms absent from the index
     cannot change any ranking, so they are filtered out as well. A query
-    with no title term in the embedding vocabulary has no centroid and an
-    empty pool.
+    with no title term in the embedding vocabulary, or only zero vectors for
+    its title terms, has no centroid direction and an empty pool.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    if not any(t in table for t in topic.title_terms):
+    if not any(table.has_direction(t) for t in topic.title_terms):
         log.warning("query %s: no title term in the embedding vocabulary, "
                     "empty candidate pool", topic.query_id)
         return []

@@ -147,8 +147,9 @@ def test_config_file_drives_commands(tmp_path, capsys):
 def test_error_exit_codes(tmp_path, capsys):
     out = ("--output-dir", str(tmp_path))
     # config mistakes: exit 2 with a pointed message
-    assert _run("index", "--set", f"corpus={CORPUS}", "--set", "turbo=1", *out) == 2
-    assert "turbo" in capsys.readouterr().err
+    for key in ("turbo", "symmetric_compare"):
+        assert _run("index", "--set", f"corpus={CORPUS}", "--set", f"{key}=1", *out) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert _run("index", "--set", "corpus", *out) == 2
     assert "KEY=VALUE" in capsys.readouterr().err
     assert _run("index", *out) == 2

@@ -30,7 +30,6 @@ def test_defaults():
     assert cfg.hidden == 200
     assert cfg.rep == 400
     assert cfg.pooling == "last"
-    assert cfg.symmetric_compare is False
     assert cfg.folds == 5
     assert cfg.index == "index.qxix"
     assert cfg.model == "model.qxdm"
@@ -46,7 +45,7 @@ def test_readme_table_matches_config_defaults():
     table = text[text.index("| key | default | meaning |"):].split("\n\n", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| (.+?) \|", table, re.MULTILINE)
     assert [key for key, _ in rows] == [f.name for f in fields(Config)]
-    assert len(rows) == 28
+    assert len(rows) == 27
     for key, shown in rows:
         if shown in ("—", "bundled list"):
             raw = ""
@@ -63,11 +62,9 @@ def test_parse_config_file(tmp_path):
         "m=5\n"
         "beta = 0.25\n"
         "corpus = /data/trec # trailing comment\n"
-        "symmetric_compare = yes\n"
         "\n")
     values = parse_config_file(str(path))
-    assert values == {"mu": 2000.0, "m": 5, "beta": 0.25,
-                      "corpus": "/data/trec", "symmetric_compare": True}
+    assert values == {"mu": 2000.0, "m": 5, "beta": 0.25, "corpus": "/data/trec"}
 
 
 def test_parse_errors_name_the_line(tmp_path):
@@ -75,22 +72,13 @@ def test_parse_errors_name_the_line(tmp_path):
     path.write_text("mu = 1000\nwhat is this\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:2: expected key = value"):
         parse_config_file(str(path))
-    path.write_text("mu = 1000\nturbo = on\n")
-    with pytest.raises(ConfigError, match=r"bad\.cfg:2: unknown config key 'turbo'"):
-        parse_config_file(str(path))
+    for key in ("turbo", "symmetric_compare"):
+        path.write_text(f"mu = 1000\n{key} = on\n")
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:2: unknown config key '{key}'"):
+            parse_config_file(str(path))
     path.write_text("epochs = soon\n")
     with pytest.raises(ConfigError, match="cannot parse 'soon' as int"):
         parse_config_file(str(path))
-    path.write_text("symmetric_compare = maybe\n")
-    with pytest.raises(ConfigError, match="as bool"):
-        parse_config_file(str(path))
-
-
-def test_bool_spellings():
-    for raw, want in [("true", True), ("1", True), ("YES", True),
-                      ("false", False), ("0", False), ("No", False)]:
-        cfg = load_config(overrides={"symmetric_compare": raw})
-        assert cfg.symmetric_compare is want
 
 
 def test_env_overrides_only_known_prefix():

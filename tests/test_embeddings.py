@@ -60,6 +60,10 @@ def test_load_errors(tmp_path):
     p.write_text("a 0 0\n")
     with pytest.raises(ParseError, match="non-zero vector"):
         load_embeddings(p)
+    for bad in ("nan", "inf", "-inf"):
+        p.write_text(f"a 1 0\nb 0.5 {bad}\nc nan 1\n")
+        with pytest.raises(ParseError, match=r"v\.txt: non-finite .* term 'b'"):
+            load_embeddings(p)
 
 
 def test_load_word2vec_header(tmp_path):
@@ -89,6 +93,8 @@ def test_table_validation():
         EmbeddingTable(["a"], np.eye(2))
     with pytest.raises(ValueError, match="non-zero"):
         EmbeddingTable(["a", "b"], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite vector component for term 'c'"):
+        EmbeddingTable(["a", "b", "c"], np.array([[1.0, 0.0], [0.0, 0.0], [np.inf, 1.0]]))
 
 
 def test_cosine_hand_values(tiny_table):

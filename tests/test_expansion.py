@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qexp.classifier.inference import build_reference_set
+from qexp import expansion
+from qexp.classifier import inference
+from qexp.classifier.inference import build_reference_set, encode_reference_set
 from qexp.classifier.network import SiameseModel
 from qexp.collection import Document, Topic, build_index
 from qexp.embeddings import EmbeddingTable, cosine
@@ -219,11 +221,54 @@ def test_dec_alpha_zero_is_awe_bitwise(dec_setup):
     assert dec.weights == awe.weights  # exact float equality
 
 
-def test_dec_symmetric_mode_runs(dec_setup):
-    topic, table, idx, model, refset = dec_setup
+@pytest.fixture()
+def zed_setup(dec_setup):
+    """dec_setup's world plus the term "zed", whose vector is all zeros."""
+    _, table, idx, model, refset = dec_setup
+    zed_table = EmbeddingTable([*table.terms, "zed"],
+                               np.vstack([table.matrix, np.zeros(table.dim)]))
+    return zed_table, idx, model, refset
+
+
+@pytest.mark.parametrize("method", ["qlm", "awe", "eqe1", "dec"])
+def test_zero_vector_title_term_counts_as_unembedded(zed_setup, method):
+    table, idx, model, refset = zed_setup
     cfg = ExpansionConfig(m=3, pool_size=10)
-    qm = dec_expand(topic, table, idx, model, refset, cfg, symmetric=True)
-    assert sum(qm.weights.values()) == pytest.approx(1.0)
+
+    def expand(title):
+        topic = Topic("t1", title)
+        pool = scored_candidate_pool(topic, table, idx, cfg.pool_size)
+        return build_query_model(method, topic, pool, table, cfg, model, refset)
+
+    with_zed, alone = expand(["q", "zed"]), expand(["q"])
+    assert set(with_zed.weights) == set(alone.weights) | {"zed"}
+    if method in ("awe", "eqe1"):
+        for term in set(alone.weights) - {"q"}:
+            assert with_zed.weights[term] == alone.weights[term]
+    assert expand(["zed"]).weights == qlm_model(Topic("t1", ["zed"])).weights
+
+
+def test_dec_without_ref_reps_encodes_the_reference_set_once(request, monkeypatch):
+    topics, idx, table, _, ds = _world_with_refset(request, "mismatch")
+    model = SiameseModel(table.dim, 3, 4, np.random.default_rng(0))
+    refset = build_reference_set(ds, table, 2, np.random.default_rng(1))
+    cfg = ExpansionConfig(m=10, pool_size=12)
+    cached = dec_expand(topics[0], table, idx, model, refset, cfg,
+                        ref_reps=encode_reference_set(model, refset, table))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return encode_reference_set(*args)
+
+    monkeypatch.setattr(expansion, "encode_reference_set", counting, raising=False)
+    monkeypatch.setattr(inference, "encode_reference_set", counting)
+    fresh = dec_expand(topics[0], table, idx, model, refset, cfg)
+    assert len(calls) == 1
+    assert len(fresh.weights) == len(topics[0].title_terms) + cfg.m
+    assert fresh.weights == cached.weights
+    dec_expand(topics[-1], table, idx, model, refset, cfg)  # no embedding: empty pool
+    assert len(calls) == 1
 
 
 def _world_with_refset(request, name):

@@ -103,27 +103,6 @@ def test_p_good_forced_outcomes():
     assert p_good(["q"], "g3", model, rs, table) == 0.5
 
 
-def test_p_good_symmetric_averages_both_orders():
-    table = _cluster_table()
-    model = SiameseModel(4, 3, 4, np.random.default_rng(0))
-    rs = _refset4()
-    outs = iter([np.array([0.9, 0.2, 0.6, 0.4]),   # candidate vs refs
-                 np.array([0.1, 0.2, 0.6, 0.8])])  # refs vs candidate
-
-    def forced(a, b):
-        rows = next(outs)
-        probs = np.zeros((len(rows), 2))
-        probs[:, SAME_CLASS] = rows
-        probs[:, DIFF_CLASS] = 1.0 - rows
-        return probs
-
-    model.compare_probs = forced
-    # averaged: 0.5, 0.2, 0.6, 0.6 -> same flags T,F,T,F (0.5 counts as same)
-    # N_g = 1 (ref0 good+same), N_nb = 1 (ref3 bad+diff)... ref3 avg 0.6 -> same.
-    # flags: [True, False, True, True] -> N_g=1 (ref0), N_nb=0 -> 0.25
-    assert p_good(["q"], "g3", model, rs, table, symmetric=True) == 0.25
-
-
 def test_p_good_real_model_paths_agree():
     table = _cluster_table()
     model = SiameseModel(4, 3, 4, np.random.default_rng(2))
@@ -135,7 +114,4 @@ def test_p_good_real_model_paths_agree():
     p_cached = p_good(["q"], "g3", model, rs, table, ref_reps=ref_reps)
     assert p_fresh == p_cached
     assert 0.0 <= p_fresh <= 1.0
-    p_sym = p_good(["q"], "g3", model, rs, table, ref_reps=ref_reps,
-                   symmetric=True)
-    assert 0.0 <= p_sym <= 1.0
     assert p_good(["q"], "unknownterm", model, rs, table) == 0.0

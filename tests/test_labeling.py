@@ -140,6 +140,17 @@ def test_build_dataset_skips_unjudged_query(planted, planted_table, caplog):
     assert "no relevant documents" in caplog.text
 
 
+def test_build_dataset_zero_vector_title_term(planted, planted_table):
+    topic, idx, qrels = planted
+    table = EmbeddingTable([*planted_table.terms, "zed"],
+                           np.vstack([planted_table.matrix, np.zeros(2)]))
+    assert len(build_dataset([Topic("q1", ["zed"])], idx, qrels, table)) == 0
+    with_zed = build_dataset([Topic("q1", ["base", "zed"])], idx, qrels, table)
+    alone = build_dataset([topic], idx, qrels, table)
+    assert ([ex.candidate_term for ex in with_zed.examples]
+            == [ex.candidate_term for ex in alone.examples])
+
+
 def test_oracle_run_beats_baseline(planted, planted_table):
     topic, idx, qrels = planted
     ds = build_dataset([topic], idx, qrels, planted_table)

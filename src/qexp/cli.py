@@ -24,7 +24,7 @@ def _add_common(sub):
     sub.add_argument("--config", help="path to a key = value config file")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override any config key (repeatable)")
-    sub.add_argument("--mu", type=float)
+    sub.add_argument("--mu")  # parsed and range-checked with the other settings
     sub.add_argument("--seed", type=int)
     sub.add_argument("--workers", type=int)
     sub.add_argument("--embeddings")

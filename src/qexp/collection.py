@@ -234,8 +234,9 @@ def load_topics(path, stopwords) -> list[Topic]:
     """Parse TREC <top>/<num>/<title> topics; titles are tokenized.
 
     Topics whose titles are empty after stopping are skipped with a warning.
+    A line that is not UTF-8 raises ParseError naming path:line.
     """
-    raw = Path(path).read_text(errors="replace")
+    raw = "".join(line for _, line in text_lines(path))
     topics = []
     seen = set()
     for m in re.finditer(r"<top>(.*?)</top>", raw, re.DOTALL):

@@ -4,6 +4,7 @@ Precedence, lowest to highest: built-in defaults, config file, QEXP_<KEY>
 environment variables, command-line flags.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -65,11 +66,14 @@ def _coerce(key: str, raw: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        if kind != "float":
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config_file(path: str) -> dict:

@@ -28,6 +28,8 @@ class EmbeddingTable:
             raise ValueError(f"non-finite vector component for term {bad!r}")
         self.dim = self.matrix.shape[1]
         self._row = {t: i for i, t in enumerate(self.terms)}
+        # each term's position in Python string order, the neighbour tie rule
+        self._term_rank = np.array(self.terms, dtype=object).argsort(kind="stable").argsort()
         norms = np.linalg.norm(self.matrix, axis=1)
         safe = np.where(norms == 0.0, 1.0, norms)
         self._unit = self.matrix / safe[:, None]
@@ -139,11 +141,15 @@ def centroid(terms, table: EmbeddingTable) -> np.ndarray:
 
 
 def top_k_neighbors(v: np.ndarray, k: int, table: EmbeddingTable,
-                    exclude=frozenset()) -> list[tuple[str, float]]:
-    """The k terms with highest cosine to v, descending; ties break by term.
+                    exclude=frozenset(), within=None) -> list[tuple[str, float]]:
+    """The k terms with highest cosine to v, descending.
 
-    Exhaustive scan over the table vocabulary. Returns fewer than k entries
-    when the vocabulary is small; never returns excluded terms.
+    Equal cosines (0.0 and -0.0 included) break by term in Python string
+    order. Excluded terms and terms with a zero vector are never returned;
+    with within (any container), neither is a term not in it. Returns fewer
+    than k entries when fewer terms qualify. One matrix-vector product and
+    one sort over the table; Python then walks the order only until k
+    entries are out.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -153,10 +159,18 @@ def top_k_neighbors(v: np.ndarray, k: int, table: EmbeddingTable,
         raise ValueError("cannot search neighbors of a zero vector")
     sims = table._unit @ (v / nv)
     np.clip(sims, -1.0, 1.0, out=sims)
-    scored = [
-        (term, float(sims[i]))
-        for i, term in enumerate(table.terms)
-        if term not in exclude and not table._zero_rows[i]
-    ]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return scored[:k]
+    keep = ~table._zero_rows
+    for term in exclude:
+        row = table._row.get(term)
+        if row is not None:
+            keep[row] = False
+    rows = np.flatnonzero(keep)
+    order = rows[np.lexsort((table._term_rank[rows], -sims[rows]))]
+    out = []
+    for i in order.tolist():
+        term = table.terms[i]
+        if within is None or term in within:
+            out.append((term, float(sims[i])))
+            if len(out) == k:
+                break
+    return out

@@ -5,11 +5,13 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from qexp.classifier.inference import ReferenceSet, encode_reference_set, p_good
 from qexp.classifier.network import SiameseModel
 from qexp.collection import InvertedIndex, Topic
 from qexp.config import Config
-from qexp.embeddings import EmbeddingTable, cosine
+from qexp.embeddings import EmbeddingTable
 from qexp.labeling import scored_candidate_pool
 from qexp.retrieval import QueryModel
 
@@ -82,18 +84,23 @@ def _multiplicative_selection(topic: Topic, pool, table: EmbeddingTable,
 
     score(x) = prod over query terms w of softmax-normalized exp(cos(x, w)),
     the normalization running over the candidate pool for each query term.
-    A query term with a zero vector has no direction and is skipped.
+    A query term with a zero vector has no direction and is skipped. Each
+    vector's norm is taken once; each cosine is then one dot product, clipped
+    as embeddings.cosine clips it.
     """
     pool_terms = [t for t, _ in pool]
+    vectors = [table.vector(t) for t in pool_terms]
+    norms = [math.sqrt(float(np.dot(a, a))) for a in vectors]
     query_terms = [t for t in topic.title_terms if table.has_direction(t)]
-    scores = {t: 1.0 for t in pool_terms}
+    scores = [1.0] * len(pool_terms)
     for w in query_terms:
         wv = table.vector(w)
-        sims = [math.exp(cosine(table.vector(t), wv)) for t in pool_terms]
+        nw = math.sqrt(float(np.dot(wv, wv)))
+        sims = [math.exp(min(1.0, max(-1.0, float(np.dot(a, wv)) / (na * nw))))
+                for a, na in zip(vectors, norms)]
         denom = sum(sims)
-        for t, s in zip(pool_terms, sims):
-            scores[t] *= s / denom
-    ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
+        scores = [score * (s / denom) for score, s in zip(scores, sims)]
+    ranked = sorted(zip(pool_terms, scores), key=lambda e: (-e[1], e[0]))
     return ranked[:m]
 
 

@@ -157,9 +157,7 @@ def scored_candidate_pool(topic: Topic, table: EmbeddingTable, idx: InvertedInde
         return []
     center = centroid(topic.title_terms, table)
     exclude = set(topic.title_terms) | set(stopwords)
-    neighbors = top_k_neighbors(center, len(table), table, exclude=exclude)
-    pool = [(term, sim) for term, sim in neighbors if term in idx]
-    return pool[:pool_size]
+    return top_k_neighbors(center, pool_size, table, exclude=exclude, within=idx)
 
 
 def baseline_ap(topic: Topic, idx: InvertedIndex, qrels: Qrels,

@@ -61,8 +61,8 @@ def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
     term tie below all matching documents at the depths used, so they are
     never candidates.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not math.isfinite(mu) or mu <= 0:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     terms = sorted(t for t, w in q.weights.items()

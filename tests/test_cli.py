@@ -171,14 +171,35 @@ def test_error_exit_codes(tmp_path, capsys):
         _run("expand", "--method", "bm25", *out)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["file", "env", "set", "flag"])
+def test_non_finite_float_setting_exits_2(source, raw, ws, tmp_path, monkeypatch, capsys):
+    argv = ["expand", "--method", "awe", "--set", f"index={ws / 'index.qxix'}",
+            "--set", f"topics={TOPICS}", "--embeddings", VECTORS,
+            "--output-dir", str(tmp_path)]
+    if source == "file":
+        (tmp_path / "run.cfg").write_text(f"mu = {raw}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    elif source == "env":
+        monkeypatch.setenv("QEXP_MU", raw)
+    elif source == "set":
+        argv += ["--set", f"mu={raw}"]
+    else:
+        argv += [f"--mu={raw}"]
+    assert _run(*argv) == 2
+    assert f"config key 'mu': '{raw}' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "run_awe.txt").exists()
+
+
 @pytest.mark.parametrize("reader", ["dataset", "qrels", "embeddings", "config",
-                                    "stopwords"])
+                                    "stopwords", "topics"])
 def test_non_utf8_input_exits_2_naming_file_and_line(reader, ws, tmp_path, capsys):
     name, first = {"dataset": ("dataset.tsv", b'# {"queries": {}}\n'),
                    "qrels": ("qrels.txt", b"701 0 D01 1\n"),
                    "embeddings": ("vectors.txt", b"solar 1 0\n"),
                    "config": ("run.cfg", b"seed = 1\n"),
-                   "stopwords": ("stop.txt", b"the\n")}[reader]
+                   "stopwords": ("stop.txt", b"the\n"),
+                   "topics": ("topics.txt", b"<top>\n")}[reader]
     bad = tmp_path / name
     bad.write_bytes(first + b"\xff\xfe 0 1\n")
     out = ("--output-dir", str(tmp_path))
@@ -190,6 +211,8 @@ def test_non_utf8_input_exits_2_naming_file_and_line(reader, ws, tmp_path, capsy
                            "--embeddings", str(bad), *out),
             "config": ("gradcheck", "--config", str(bad)),
             "stopwords": ("index", "--set", f"corpus={CORPUS}",
-                          "--set", f"stopwords={bad}", *out)}[reader]
+                          "--set", f"stopwords={bad}", *out),
+            "topics": ("expand", "--method", "qlm", "--set", f"index={ws / 'index.qxix'}",
+                       "--set", f"topics={bad}", "--embeddings", VECTORS, *out)}[reader]
     assert _run(*argv) == 2
     assert f"{name}:2: line is not valid UTF-8" in capsys.readouterr().err

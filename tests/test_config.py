@@ -81,6 +81,18 @@ def test_parse_errors_name_the_line(tmp_path):
         parse_config_file(str(path))
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_floats_are_rejected_naming_the_key(raw, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"mu = {raw}\n")
+    with pytest.raises(ConfigError, match=f"config key 'mu': '{raw}' is not a finite"):
+        parse_config_file(str(path))
+    with pytest.raises(ConfigError, match=f"config key 'eps': '{raw}' is not a finite"):
+        env_overrides({"QEXP_EPS": raw})
+    with pytest.raises(ConfigError, match=f"config key 'alpha': '{raw}' is not a finite"):
+        load_config(overrides={"alpha": raw})
+
+
 def test_env_overrides_only_known_prefix():
     env = {"QEXP_MU": "500", "QEXP_POOLING": "mean", "UNRELATED": "x",
            "QEXP_BATCH": "8"}

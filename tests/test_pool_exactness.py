@@ -1,0 +1,128 @@
+"""The array-sorted candidate pool and the norm-once multiplicative selection
+equal their sort-based references (tests/reference_pool.py) bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_pool
+from qexp.collection import Topic
+from qexp.embeddings import EmbeddingTable, top_k_neighbors
+from qexp.expansion import _multiplicative_selection
+from qexp.labeling import scored_candidate_pool
+from synthworld import mismatch_world
+
+# ASCII and non-ASCII letters, so Python string order differs from byte order
+# of any one encoding and from the order terms are drawn in
+TERMS = st.text(alphabet="abAZéßÅ日0", min_size=1, max_size=3)
+SCALES = (0.5, 2.0, 3.0, -1.0)
+
+
+@st.composite
+def tables(draw):
+    """Small tables rich in exact ties: integer rows (orthogonal and zero rows
+    among them), duplicated and scaled rows, and rows of arbitrary floats."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 8))
+    terms = draw(st.lists(TERMS, min_size=n, max_size=n, unique=True))
+    ints = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    # six decimals keep squared norms clear of underflow
+    floats = st.lists(st.floats(-1.0, 1.0).map(lambda x: round(x, 6)),
+                      min_size=dim, max_size=dim)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["int", "float", "copy", "scaled", "zero"]
+                                    if rows else ["int", "float"]))
+        if kind == "int":
+            rows.append(np.array(draw(ints), dtype=np.float64))
+        elif kind == "float":
+            rows.append(np.array(draw(floats), dtype=np.float64))
+        elif kind == "zero":
+            rows.append(np.zeros(dim))
+        else:
+            base = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(base * (draw(st.sampled_from(SCALES)) if kind == "scaled" else 1.0))
+    matrix = np.vstack(rows)
+    if not np.any(matrix):
+        matrix[0] = 1.0
+    return EmbeddingTable(terms, matrix)
+
+
+@st.composite
+def queries(draw, table):
+    kind = draw(st.sampled_from(["row", "int"]))
+    if kind == "row":
+        v = table.matrix[draw(st.integers(0, len(table) - 1))].copy()
+    else:
+        v = np.array(draw(st.lists(st.integers(-2, 2), min_size=table.dim,
+                                   max_size=table.dim)), dtype=np.float64)
+    if not np.any(v):
+        v[0] = 1.0
+    return v
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_top_k_neighbors_equals_the_sort_based_reference(data):
+    table = data.draw(tables())
+    v = data.draw(queries(table))
+    k = data.draw(st.integers(1, len(table) + 1))
+    exclude = set(data.draw(st.lists(st.sampled_from(table.terms), max_size=3)))
+    exclude |= set(data.draw(st.lists(TERMS, max_size=2)))  # may be absent from the table
+    within = data.draw(st.none() | st.sets(st.sampled_from(table.terms) | TERMS))
+
+    full = reference_pool.top_k_neighbors(v, len(table), table, exclude)
+    assert repr(top_k_neighbors(v, k, table, exclude)) == repr(full[:k])
+    want = [e for e in full if within is None or e[0] in within][:k]
+    assert repr(top_k_neighbors(v, k, table, exclude, within=within)) == repr(want)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_multiplicative_selection_equals_the_cosine_reference(data):
+    table = data.draw(tables())
+    title = data.draw(st.lists(st.sampled_from(table.terms) | TERMS,
+                               min_size=1, max_size=3))
+    topic = Topic("q", title)
+    v = data.draw(queries(table))
+    pool = reference_pool.top_k_neighbors(v, len(table), table, set(title))
+    m = data.draw(st.integers(1, len(pool) + 1))
+    assert repr(_multiplicative_selection(topic, pool, table, m)) == \
+        repr(reference_pool.multiplicative_selection(topic, pool, table, m))
+
+
+def test_multiplicative_selection_equals_the_cosine_reference_at_d300():
+    # per-row dot products, not one matrix-vector product: BLAS may sum a
+    # long row in another order
+    rng = np.random.default_rng(5)
+    table = EmbeddingTable([f"t{i:03d}" for i in range(200)],
+                           rng.standard_normal((200, 300)))
+    for title in (["t000"], ["t001", "t002", "t003"], ["t004", "t004", "t005"]):
+        topic = Topic("q", title)
+        pool = reference_pool.top_k_neighbors(table.vector(title[0]), 150, table,
+                                              set(title))
+        assert repr(_multiplicative_selection(topic, pool, table, 150)) == \
+            repr(reference_pool.multiplicative_selection(topic, pool, table, 150))
+
+
+def _assert_pools_match(topics, table, idx, stopwords=frozenset()):
+    for topic in topics:
+        for pool_size in (1, 3, 12, 1000):
+            got = scored_candidate_pool(topic, table, idx, pool_size, stopwords)
+            want = reference_pool.scored_candidate_pool(topic, table, idx, pool_size,
+                                                        stopwords)
+            assert repr(got) == repr(want)
+            assert repr(_multiplicative_selection(topic, got, table, 10)) == \
+                repr(reference_pool.multiplicative_selection(topic, want, table, 10))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pool_equals_list_then_filter_on_mismatch_world(seed):
+    topics, idx, _, table = mismatch_world(seed=seed)
+    topics.append(Topic("zz", ["bgt1", "bgt2"]))  # no title term in the table
+    _assert_pools_match(topics, table, idx)
+
+
+def test_pool_equals_list_then_filter_on_fixtures(mini_topics, mini_index, tiny_table,
+                                                  stopwords):
+    _assert_pools_match(mini_topics, tiny_table, mini_index, stopwords)

@@ -50,8 +50,9 @@ def test_qlm_score_skips_unseen_terms(mini_index):
 def test_qlm_score_mu_validation(mini_index):
     # checked before any term is looked up, so a query that matches nothing fails too
     qm = QueryModel.from_terms("q", ["unseenword"])
-    with pytest.raises(ValueError, match="mu"):
-        retrieve(qm, mini_index, 0.0)
+    for mu in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mu"):
+            retrieve(qm, mini_index, mu)
 
 
 def _string_table(entries):

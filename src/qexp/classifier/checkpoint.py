@@ -21,6 +21,7 @@ import numpy as np
 
 from qexp.classifier.network import PARAM_ORDER, SiameseModel, param_shapes
 from qexp.collection import ParseError
+from qexp.config import check
 
 MODEL_MAGIC = b"QXDM"
 MODEL_VERSION = 1
@@ -54,6 +55,10 @@ def load_model(path) -> tuple[SiameseModel, int]:
         raise ParseError(f"{path}: unknown pooling code {data[5]}")
     pooling = _POOLING_NAMES[data[5]]
     d, h, r = struct.unpack_from("<III", data, 6)
+    if d < 1:
+        raise ParseError(f"{path}: embedding dim must be >= 1, got {d}")
+    check(f"{path}: hidden size", h, "hidden", ParseError)
+    check(f"{path}: representation size", r, "rep", ParseError)
     (seed,) = struct.unpack_from("<Q", data, 18)
     shapes = param_shapes(d, h, r)
     expected = _HEADER_SIZE + 8 * sum(math.prod(shape) for shape in shapes.values())

@@ -6,7 +6,7 @@ import numpy as np
 
 from qexp.classifier.network import SAME_CLASS, SiameseModel
 from qexp.classifier.training import example_sequence
-from qexp.config import Config
+from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import Label, LabeledDataset
 
@@ -19,8 +19,7 @@ class ReferenceSet:
 
     def __post_init__(self):
         n = len(self.items)
-        if n == 0 or n % 2 != 0:
-            raise ValueError(f"reference set size must be even and positive, got {n}")
+        check("reference set size", n, "refset_size")
         good = sum(1 for _, _, label in self.items if label is Label.GOOD)
         bad = sum(1 for _, _, label in self.items if label is Label.BAD)
         if good != bad or good + bad != n:
@@ -42,8 +41,7 @@ def build_reference_set(dataset: LabeledDataset, table: EmbeddingTable,
 
     Neutral examples never enter the reference set.
     """
-    if size % 2 != 0 or size < 2:
-        raise ValueError(f"reference set size must be even and >= 2, got {size}")
+    check("size", size, "refset_size")
     if rng is None:
         rng = np.random.default_rng(Config.seed)
     pools = {Label.GOOD: [], Label.BAD: []}

@@ -14,7 +14,7 @@ the (.,4h) matrices are ordered input, forget, cell-candidate, output.
 
 import numpy as np
 
-from qexp.config import Config
+from qexp.config import Config, check
 
 
 def param_shapes(d: int, h: int, r: int) -> dict[str, tuple[int, ...]]:
@@ -64,8 +64,8 @@ class SiameseModel:
 
     def __init__(self, dim: int, hidden: int, rep: int, rng: np.random.Generator,
                  pooling: str = Config.pooling):
-        if pooling not in ("last", "mean"):
-            raise ValueError(f"unknown pooling mode {pooling!r}")
+        for key, value in (("hidden", hidden), ("rep", rep), ("pooling", pooling)):
+            check(key, value)
         self.dim = dim
         self.hidden = hidden
         self.rep = rep

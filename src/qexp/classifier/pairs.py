@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qexp.config import check
 from qexp.labeling import LabeledExample
 
 
@@ -51,8 +52,7 @@ def generate_pairs(examples, balance: bool, rng: np.random.Generator,
 
     if budget is None:
         raise ValueError("balanced sampling needs a pair budget")
-    if budget % 2 != 0:
-        raise ValueError(f"pair budget must be even for exact balance, got {budget}")
+    check("budget", budget, "pair_budget")
 
     by_class: dict = {}
     for i, ex in enumerate(examples):

@@ -8,7 +8,7 @@ import numpy as np
 
 from qexp.classifier.network import SiameseModel
 from qexp.classifier.pairs import generate_pairs
-from qexp.config import Config
+from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import LabeledDataset
 
@@ -28,14 +28,10 @@ class TrainConfig:
     pair_budget: int = Config.pair_budget
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.pair_budget < 2:
-            raise ValueError(f"pair_budget must be >= 2, got {self.pair_budget}")
+        check("learning_rate", self.learning_rate, "lr")
+        check("batch_size", self.batch_size, "batch")
+        for key in ("epochs", "seed", "pair_budget"):
+            check(key, getattr(self, key))
 
 
 class Adam:

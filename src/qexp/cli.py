@@ -24,11 +24,8 @@ def _add_common(sub):
     sub.add_argument("--config", help="path to a key = value config file")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override any config key (repeatable)")
-    sub.add_argument("--mu")  # parsed and range-checked with the other settings
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--embeddings")
-    sub.add_argument("--output-dir", dest="output_dir")
+    for flag in ("--mu", "--seed", "--workers", "--embeddings", "--output-dir"):
+        sub.add_argument(flag)  # a string, parsed and checked by load_config
 
 
 def _cfg_from_args(args) -> config.Config:

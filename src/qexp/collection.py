@@ -84,9 +84,6 @@ class Qrels:
     def is_relevant(self, query_id: str, doc_id: str) -> bool:
         return doc_id in self._relevant.get(query_id, ())
 
-    def relevant_docs(self, query_id: str) -> set[str]:
-        return self._relevant.get(query_id, set())
-
     def num_relevant(self, query_id: str) -> int:
         return len(self._relevant.get(query_id, ()))
 
@@ -185,7 +182,11 @@ def ingest_trec_docs(path, stopwords) -> list[Document]:
     One Document per <DOC> block; all <TEXT> sections are concatenated,
     remaining markup is stripped before tokenization.
     """
-    raw = Path(path).read_text(errors="replace")
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        list(text_lines(path))  # raises ParseError naming the first bad line
+        raise
     docs = []
     seen = set()
     pos = 0

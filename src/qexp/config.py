@@ -15,6 +15,43 @@ class ConfigError(ValueError):
     pass
 
 
+def _at_least(lo):
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+_EVEN = (lambda v: v >= 2 and v % 2 == 0), "even and >= 2"
+
+# (test, requirement) of every setting that is not a path
+RANGES = {
+    "mu": ((lambda v: v > 0), "> 0"),
+    "depth": _at_least(1),
+    "m": _at_least(1),
+    "alpha": _at_least(0),
+    "beta": ((lambda v: 0 <= v <= 1), "in [0, 1]"),
+    "pool_size": _at_least(1),
+    "eps": _at_least(0),
+    "lr": ((lambda v: v > 0), "> 0"),
+    "batch": _at_least(1),
+    "epochs": _at_least(1),
+    "seed": ((lambda v: 0 <= v < 2**64), "in [0, 2**64)"),
+    "pair_budget": _EVEN,
+    "refset_size": _EVEN,
+    "hidden": _at_least(1),
+    "rep": _at_least(1),
+    "pooling": ((lambda v: v in ("last", "mean")), "'last' or 'mean'"),
+    "folds": _at_least(2),
+    "workers": _at_least(0),
+}
+
+
+def check(name: str, value, key: str | None = None, error=ConfigError):
+    """Raise ``error`` naming ``name`` unless value meets the rule of setting
+    ``key`` (default ``name``). A non-finite float always fails."""
+    test, requirement = RANGES[key or name]
+    if (isinstance(value, float) and not math.isfinite(value)) or not test(value):
+        raise error(f"{name} must be {requirement}, got {value!r}")
+
+
 @dataclass
 class Config:
     # paths
@@ -51,6 +88,10 @@ class Config:
     folds: int = 5
     # 0 = use every available core
     workers: int = 0
+
+    def __post_init__(self):
+        for key in RANGES:
+            check(key, getattr(self, key))
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
@@ -113,5 +154,5 @@ def load_config(path: str | None = None, overrides: dict | None = None,
     for key, val in (overrides or {}).items():
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = val if not isinstance(val, str) else _coerce(key, val)
+        merged[key] = _coerce(key, str(val))
     return Config(**merged)

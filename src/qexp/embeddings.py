@@ -1,4 +1,4 @@
-"""Pre-trained word vectors: loading, cosine similarity, centroid, neighbors."""
+"""Pre-trained word vectors: loading, centroid, cosine neighbors."""
 
 import logging
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from qexp.collection import ParseError, text_lines
+from qexp.config import check
 
 log = logging.getLogger(__name__)
 
@@ -110,19 +111,6 @@ def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, clipped to [-1, 1]; zero vectors are an error."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine of a zero vector is undefined")
-    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
-
-
 def centroid(terms, table: EmbeddingTable) -> np.ndarray:
     """Elementwise mean of the in-vocabulary term vectors.
 
@@ -151,8 +139,7 @@ def top_k_neighbors(v: np.ndarray, k: int, table: EmbeddingTable,
     one sort over the table; Python then walks the order only until k
     entries are out.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check("k", k, "pool_size")
     v = np.asarray(v, dtype=np.float64)
     nv = math.sqrt(float(np.dot(v, v)))
     if nv == 0.0:

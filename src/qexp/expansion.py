@@ -10,7 +10,7 @@ import numpy as np
 from qexp.classifier.inference import ReferenceSet, encode_reference_set, p_good
 from qexp.classifier.network import SiameseModel
 from qexp.collection import InvertedIndex, Topic
-from qexp.config import Config
+from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import scored_candidate_pool
 from qexp.retrieval import QueryModel
@@ -26,14 +26,8 @@ class ExpansionConfig:
     pool_size: int = Config.pool_size
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        for key in ("m", "alpha", "beta", "pool_size"):
+            check(key, getattr(self, key))
 
 
 def interpolate(topic: Topic, expansion_weights: dict[str, float],
@@ -86,7 +80,7 @@ def _multiplicative_selection(topic: Topic, pool, table: EmbeddingTable,
     the normalization running over the candidate pool for each query term.
     A query term with a zero vector has no direction and is skipped. Each
     vector's norm is taken once; each cosine is then one dot product, clipped
-    as embeddings.cosine clips it.
+    to [-1, 1].
     """
     pool_terms = [t for t, _ in pool]
     vectors = [table.vector(t) for t in pool_terms]

@@ -10,7 +10,7 @@ from qexp import labeling
 from qexp.classifier.inference import build_reference_set, encode_reference_set
 from qexp.classifier.training import TrainConfig, train
 from qexp.collection import InvertedIndex, Qrels
-from qexp.config import Config
+from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable
 from qexp.evaluation import Comparison, EvalResult, evaluate_rankings
 from qexp.expansion import ExpansionConfig, build_query_model
@@ -30,15 +30,11 @@ class ExperimentResult:
     comparisons: dict[tuple[str, str], Comparison] = field(default_factory=dict)
     folds: int = 1
 
-    def map_of(self, method: str) -> float:
-        return self.results[method].map
-
 
 def partition_folds(query_ids, k: int, rng: np.random.Generator) -> list[list[str]]:
     """Split query ids into k seeded folds; every query lands in exactly one."""
     qids = sorted(query_ids)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check("k", k, "folds")
     if len(qids) < k:
         raise ValueError(f"need at least k={k} queries, have {len(qids)}")
     order = rng.permutation(len(qids))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from qexp.collection import InvertedIndex, ParseError, Qrels, Topic, text_lines
-from qexp.config import Config
+from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable, centroid, top_k_neighbors
 from qexp.evaluation import average_precision
 from qexp.retrieval import QueryModel, retrieve
@@ -106,6 +106,7 @@ class LabeledDataset:
         eps = meta.get("eps", Config.eps)
         if type(eps) not in (int, float):
             raise ParseError(f"{path}:1: eps {eps!r} is not a number")
+        check(f"{path}:1: eps", eps, "eps", ParseError)
         if not isinstance(queries, dict) or not all(
                 isinstance(terms, list) for terms in queries.values()):
             raise ParseError(f"{path}:1: queries must map query ids to term lists")
@@ -149,8 +150,7 @@ def scored_candidate_pool(topic: Topic, table: EmbeddingTable, idx: InvertedInde
     with no title term in the embedding vocabulary, or only zero vectors for
     its title terms, has no centroid direction and an empty pool.
     """
-    if pool_size < 1:
-        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
+    check("pool_size", pool_size)
     if not any(table.has_direction(t) for t in topic.title_terms):
         log.warning("query %s: no title term in the embedding vocabulary, "
                     "empty candidate pool", topic.query_id)
@@ -210,6 +210,7 @@ def build_dataset(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTabl
     are independent, so labeling fans out across workers; results merge in
     topic order regardless of worker count.
     """
+    check("eps", eps)
     usable = []
     for topic in topics:
         if qrels.num_relevant(topic.query_id) == 0:

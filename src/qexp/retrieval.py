@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qexp.collection import InvertedIndex, ParseError, text_lines
-from qexp.config import Config
+from qexp.config import Config, check
 
 
 @dataclass
@@ -61,10 +61,8 @@ def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
     term tie below all matching documents at the depths used, so they are
     never candidates.
     """
-    if not math.isfinite(mu) or mu <= 0:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    check("mu", mu)
+    check("depth", depth)
     terms = sorted(t for t, w in q.weights.items()
                    if w > 0.0 and idx.collection_prob(t) > 0.0)
     if not terms:

@@ -6,14 +6,27 @@ walks it only until k entries are out; `qexp.expansion._multiplicative_selection
 takes each vector's norm once. Everything here is the straightforward version
 those must match bit for bit: a Python tuple per table term sorted by
 (-cosine, term), the pool filtered to index terms after the full scan, and
-`embeddings.cosine` for every (candidate, query term) pair.
+`cosine` for every (candidate, query term) pair.
 """
 
 import math
 
 import numpy as np
 
-from qexp.embeddings import centroid, cosine
+from qexp.embeddings import centroid
+
+
+def cosine(a, b) -> float:
+    """Cosine similarity, clipped to [-1, 1]; zero vectors are an error."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"vector lengths differ: {a.shape} vs {b.shape}")
+    na = math.sqrt(float(np.dot(a, a)))
+    nb = math.sqrt(float(np.dot(b, b)))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine of a zero vector is undefined")
+    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
 
 
 def top_k_neighbors(v, k, table, exclude=frozenset()):

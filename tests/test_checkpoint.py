@@ -76,6 +76,16 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(ParseError, match="2 trailing bytes"):
         load_model(trailing)
 
+    # d = h = r = 0: 42 bytes hold exactly the two cmp.b floats the header implies
+    for (d, h, r), message in [((0, 0, 0), "embedding dim must be >= 1, got 0"),
+                               ((4, 0, 5), "hidden size must be >= 1, got 0"),
+                               ((4, 3, 0), "representation size must be >= 1, got 0")]:
+        zero = tmp_path / "zero.qxdm"
+        size = 8 * (2 * (d * 4 * h + h * 4 * h + 4 * h) + 2 * h * r + r + 2 * r + 2)
+        zero.write_bytes(raw[:6] + struct.pack("<IIIQ", d, h, r, 0) + bytes(size))
+        with pytest.raises(ParseError, match=f"zero.qxdm: {message}"):
+            load_model(zero)
+
 
 def test_load_rejects_every_proper_prefix(tmp_path):
     good = tmp_path / "good.qxdm"

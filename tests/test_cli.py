@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from qexp.cli import main
+from qexp.config import RANGES, ConfigError, load_config
 from qexp.labeling import Label, LabeledDataset, LabeledExample
 from qexp.retrieval import read_run
 
@@ -191,15 +192,66 @@ def test_non_finite_float_setting_exits_2(source, raw, ws, tmp_path, monkeypatch
     assert not (tmp_path / "run_awe.txt").exists()
 
 
+# One value outside each setting's range; the CLI sources pass it as str(value).
+OUT_OF_RANGE = {"mu": -5.0, "depth": 0, "m": 0, "alpha": -1.0, "beta": 1.5,
+                "pool_size": 0, "eps": -1.0, "lr": 0.0, "batch": 0, "epochs": 0,
+                "seed": 2**64, "pair_budget": 7, "refset_size": 0, "hidden": 0,
+                "rep": 0, "pooling": "max", "folds": 1, "workers": -1}
+FLAGS = ("mu", "seed", "workers")
+
+
+@pytest.mark.parametrize("key, source", [
+    (key, source) for key in RANGES for source in ("file", "env", "set", "flag", "api")
+    if source != "flag" or key in FLAGS])
+def test_out_of_range_setting_exits_2_before_reading_inputs(key, source, tmp_path,
+                                                            monkeypatch, capsys):
+    value = OUT_OF_RANGE[key]
+    if source == "api":
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            load_config(overrides={key: value})
+        return
+    out = tmp_path / "out"
+    # a missing corpus would exit 1, so exit 2 shows that no input was read
+    argv = ["index", "--set", f"corpus={tmp_path / 'missing.sgml'}", "--output-dir", str(out)]
+    if source == "file":
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    elif source == "env":
+        monkeypatch.setenv(f"QEXP_{key.upper()}", str(value))
+    elif source == "set":
+        argv += ["--set", f"{key}={value}"]
+    else:
+        argv += [f"--{key}={value}"]
+    assert _run(*argv) == 2
+    assert f"{key} must be {RANGES[key][1]}, got " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, setting", [
+    ("label", "eps=-1"), ("label", "pool_size=0"), ("label", "depth=0"),
+    ("label", "mu=-5"), ("train", "hidden=0"), ("train", "rep=0"),
+    ("train", f"seed={2**64}"), ("train", "pair_budget=7")])
+def test_stage_with_bad_setting_exits_2_and_writes_nothing(stage, setting, ws, learn_ws,
+                                                           tmp_path, capsys):
+    inputs = {"label": ("--set", f"index={ws / 'index.qxix'}", "--set", f"topics={TOPICS}",
+                        "--set", f"qrels={QRELS}"),
+              "train": ("--set", f"dataset={learn_ws / 'dataset.tsv'}")}[stage]
+    assert _run(stage, *inputs, "--embeddings", VECTORS, "--set", setting,
+                "--output-dir", str(tmp_path)) == 2
+    assert f"{setting.split('=')[0]} must be" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("reader", ["dataset", "qrels", "embeddings", "config",
-                                    "stopwords", "topics"])
+                                    "stopwords", "topics", "corpus"])
 def test_non_utf8_input_exits_2_naming_file_and_line(reader, ws, tmp_path, capsys):
     name, first = {"dataset": ("dataset.tsv", b'# {"queries": {}}\n'),
                    "qrels": ("qrels.txt", b"701 0 D01 1\n"),
                    "embeddings": ("vectors.txt", b"solar 1 0\n"),
                    "config": ("run.cfg", b"seed = 1\n"),
                    "stopwords": ("stop.txt", b"the\n"),
-                   "topics": ("topics.txt", b"<top>\n")}[reader]
+                   "topics": ("topics.txt", b"<top>\n"),
+                   "corpus": ("corpus.sgml", b"<DOC>\n")}[reader]
     bad = tmp_path / name
     bad.write_bytes(first + b"\xff\xfe 0 1\n")
     out = ("--output-dir", str(tmp_path))
@@ -213,6 +265,7 @@ def test_non_utf8_input_exits_2_naming_file_and_line(reader, ws, tmp_path, capsy
             "stopwords": ("index", "--set", f"corpus={CORPUS}",
                           "--set", f"stopwords={bad}", *out),
             "topics": ("expand", "--method", "qlm", "--set", f"index={ws / 'index.qxix'}",
-                       "--set", f"topics={bad}", "--embeddings", VECTORS, *out)}[reader]
+                       "--set", f"topics={bad}", "--embeddings", VECTORS, *out),
+            "corpus": ("index", "--set", f"corpus={bad}", *out)}[reader]
     assert _run(*argv) == 2
     assert f"{name}:2: line is not valid UTF-8" in capsys.readouterr().err

@@ -1,13 +1,26 @@
 """Configuration defaults, file parsing, and override precedence."""
 
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qexp.config import (Config, ConfigError, _coerce, env_overrides, load_config,
-                         parse_config_file)
+from qexp.classifier.inference import ReferenceSet, build_reference_set
+from qexp.classifier.network import SiameseModel
+from qexp.classifier.pairs import generate_pairs
+from qexp.classifier.training import TrainConfig
+from qexp.collection import ParseError
+from qexp.config import (RANGES, Config, ConfigError, _coerce, check, env_overrides,
+                         load_config, parse_config_file)
+from qexp.embeddings import top_k_neighbors
+from qexp.expansion import ExpansionConfig
+from qexp.experiment import partition_folds
+from qexp.labeling import (Label, LabeledDataset, LabeledExample, build_dataset,
+                           scored_candidate_pool)
+from qexp.retrieval import QueryModel, retrieve
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -115,5 +128,114 @@ def test_override_validation():
         load_config(overrides={"turbo": "1"})
     with pytest.raises(ConfigError, match="cannot parse"):
         load_config(overrides={"epochs": "many"})
-    # non-string override values pass through untouched
+    # non-string override values are parsed from their str()
     assert load_config(overrides={"epochs": 7}).epochs == 7
+
+
+PATH_KEYS = {"corpus", "topics", "qrels", "embeddings", "index", "model", "dataset",
+             "output_dir", "stopwords"}
+
+
+def test_every_setting_but_the_paths_has_a_range():
+    assert len(PATH_KEYS) == 9
+    assert set(RANGES) | PATH_KEYS == {f.name for f in fields(Config)}
+    assert not set(RANGES) & PATH_KEYS
+
+
+def test_check_names_the_caller_and_states_the_rule():
+    with pytest.raises(ConfigError, match=re.escape("k must be >= 2, got 1")):
+        check("k", 1, "folds")
+    with pytest.raises(ConfigError, match=re.escape("mu must be > 0, got inf")):
+        check("mu", math.inf)
+    with pytest.raises(ParseError, match=re.escape("f:1: eps must be >= 0, got -1")):
+        check("f:1: eps", -1, "eps", ParseError)
+    check("pooling", "mean")
+
+
+@pytest.mark.parametrize("value", [float("nan"), 2.5, -1])
+def test_non_string_overrides_meet_the_same_rules(value):
+    with pytest.raises(ConfigError, match="beta"):
+        load_config(overrides={"beta": value})
+
+
+# Values on both sides of each rule's boundary, non-finite floats included.
+BOUNDARY = {
+    "mu": [-1.0, 0.0, 1e-300, 1000.0, math.inf, math.nan],
+    "depth": [-1, 0, 1],
+    "m": [0, 1],
+    "alpha": [-1e-9, 0.0, 2.0, math.inf],
+    "beta": [-0.1, 0.0, 1.0, 1.1, math.nan],
+    "pool_size": [0, 1, 3],
+    "eps": [-1.0, 0.0, 0.5, math.inf, math.nan],
+    "lr": [-1.0, 0.0, 1e-9, math.nan],
+    "batch": [0, 1],
+    "epochs": [0, 1],
+    "seed": [-1, 0, 2**64 - 1, 2**64],
+    "pair_budget": [-2, 0, 1, 2, 3, 4],
+    "refset_size": [-2, 0, 1, 2, 3, 4],
+    "hidden": [0, 1],
+    "rep": [0, 1],
+    "pooling": ["last", "mean", "max", ""],
+    "folds": [1, 2],
+    "workers": [-1, 0, 1],
+}
+
+
+def _rejected(call) -> bool:
+    try:
+        call()
+    except ConfigError:
+        return True
+    return False
+
+
+def test_every_check_rejects_exactly_what_config_rejects(mini_index, mini_topics,
+                                                         mini_qrels, tiny_table):
+    rng = np.random.default_rng(0)
+    query = QueryModel("701", {"solar": 1.0, "energy": 1.0})
+    examples = [LabeledExample("701", ["solar"], term, label, delta)
+                for term, label, delta in [("panel", Label.GOOD, 0.1),
+                                           ("cheap", Label.GOOD, 0.1),
+                                           ("coal", Label.BAD, -0.1),
+                                           ("wind", Label.BAD, -0.1)]]
+    dataset = LabeledDataset(examples)
+
+    def refset(n):
+        return ReferenceSet([(["solar"], f"t{i}", Label.GOOD if i < n // 2 else Label.BAD)
+                             for i in range(n)])
+
+    sites = {
+        "mu": [lambda v: retrieve(query, mini_index, mu=v)],
+        "depth": [lambda v: retrieve(query, mini_index, depth=v)],
+        "m": [lambda v: ExpansionConfig(m=v)],
+        "alpha": [lambda v: ExpansionConfig(alpha=v)],
+        "beta": [lambda v: ExpansionConfig(beta=v)],
+        "pool_size": [lambda v: ExpansionConfig(pool_size=v),
+                      lambda v: scored_candidate_pool(mini_topics[0], tiny_table,
+                                                      mini_index, v),
+                      lambda v: top_k_neighbors(tiny_table.vector("solar"), v,
+                                                tiny_table)],
+        "eps": [lambda v: build_dataset(mini_topics, mini_index, mini_qrels, tiny_table,
+                                        pool_size=2, eps=v)],
+        "lr": [lambda v: TrainConfig(learning_rate=v)],
+        "batch": [lambda v: TrainConfig(batch_size=v)],
+        "epochs": [lambda v: TrainConfig(epochs=v)],
+        "seed": [lambda v: TrainConfig(seed=v)],
+        "pair_budget": [lambda v: TrainConfig(pair_budget=v),
+                        lambda v: generate_pairs(examples, True, rng, budget=v)],
+        "refset_size": [lambda v: build_reference_set(dataset, tiny_table, v, rng),
+                        refset],
+        "hidden": [lambda v: SiameseModel(2, v, 1, rng)],
+        "rep": [lambda v: SiameseModel(2, 1, v, rng)],
+        "pooling": [lambda v: SiameseModel(2, 1, 1, rng, v)],
+        "folds": [lambda v: partition_folds(["a", "b", "c"], v, rng)],
+    }
+    # workers is only read through Config.resolved_workers
+    assert set(sites) == set(RANGES) - {"workers"}
+    assert set(BOUNDARY) == set(RANGES)
+    for key, values in BOUNDARY.items():
+        verdicts = [_rejected(lambda: Config(**{key: v})) for v in values]
+        assert set(verdicts) == {True, False}, key
+        for value, expected in zip(values, verdicts):
+            for call in sites.get(key, []):
+                assert _rejected(lambda: call(value)) == expected, (key, value)

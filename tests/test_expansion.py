@@ -11,7 +11,7 @@ from qexp.classifier import inference
 from qexp.classifier.inference import build_reference_set, encode_reference_set
 from qexp.classifier.network import SiameseModel
 from qexp.collection import Document, Topic, build_index
-from qexp.embeddings import EmbeddingTable, cosine
+from qexp.embeddings import EmbeddingTable
 from qexp.expansion import (
     ExpansionConfig,
     awe_expand,
@@ -24,6 +24,7 @@ from qexp.expansion import (
 from qexp.labeling import Label, LabeledDataset, LabeledExample, scored_candidate_pool
 from qexp.retrieval import retrieve, write_run
 
+from reference_pool import cosine
 from synthworld import mismatch_world
 
 

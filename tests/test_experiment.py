@@ -58,7 +58,7 @@ def test_cv_static_methods_match_direct_evaluation(
         direct = evaluate_rankings(rankings, mini_qrels)
         assert result.results[method].per_query_ap == direct.per_query_ap
         assert result.results[method].per_query_p10 == direct.per_query_p10
-        assert result.map_of(method) == direct.map
+        assert result.results[method].map == direct.map
     assert ("qlm", "awe") in result.comparisons
     assert ("awe", "qlm") in result.comparisons
     assert ("qlm", "qlm") not in result.comparisons
@@ -89,7 +89,7 @@ def test_cv_classifier_method_runs_and_is_seeded(
     r1 = cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, ds, **kwargs)
     assert set(r1.results) == {"qlm", "dec"}
     assert r1.results["dec"].num_queries == 2
-    assert 0.0 <= r1.map_of("dec") <= 1.0
+    assert 0.0 <= r1.results["dec"].map <= 1.0
     assert ("qlm", "dec") in r1.comparisons
     r2 = cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, ds, **kwargs)
     assert r1.results["dec"].per_query_ap == r2.results["dec"].per_query_ap
@@ -217,7 +217,7 @@ def test_report_tsv_round_trips_floats():
     lines = report_tsv(result).splitlines()
     assert lines[0] == "method\tmap\tp10\tri\tsig"
     by_method = {ln.split("\t")[0]: ln.split("\t") for ln in lines[1:]}
-    assert float(by_method["qlm"][1]) == result.map_of("qlm")
+    assert float(by_method["qlm"][1]) == result.results["qlm"].map
     assert by_method["qlm"][3] == ""          # no qlm-vs-qlm robustness index
     assert by_method["qlm"][4] == "-"
     assert float(by_method["dec"][3]) == result.comparisons[("qlm", "dec")].ri

@@ -208,6 +208,8 @@ _TSV_HEADER = '# {"eps": 0.0005, "queries": {"q1": ["a"]}}\n'
     ('# {"eps": 0.0005,\n', 1, "bad JSON"),
     ("# [1, 2]\n", 1, "metadata header is not a JSON object"),
     ('# {"eps": "small", "queries": {}}\n', 1, "eps 'small' is not a number"),
+    ('# {"eps": -1, "queries": {}}\n', 1, "eps must be >= 0, got -1"),
+    ('# {"eps": NaN, "queries": {}}\n', 1, "eps must be >= 0, got nan"),
     ('# {"eps": 0.0005, "queries": ["q1"]}\n', 1, "queries must map"),
     (_TSV_HEADER + "q1\tt1\tgood\n", 2, "expected 4 columns, got 3"),
     (_TSV_HEADER + "q1\tt1\tgreat\t0.1\n", 2, "unknown label 'great'"),
@@ -217,7 +219,7 @@ _TSV_HEADER = '# {"eps": 0.0005, "queries": {"q1": ["a"]}}\n'
     (_TSV_HEADER + "q1\tt1\tgood\t0.2\n\nq1\tt1\tbad\t-0.2\n", 4,
      "duplicate row for query q1 term 't1'"),
 ], ids=["missing-header", "empty-file", "bad-json", "header-not-object", "eps-not-number",
-        "queries-not-object", "column-count", "unknown-label", "delta-not-number",
+        "eps-negative", "eps-nan", "queries-not-object", "column-count", "unknown-label", "delta-not-number",
         "label-disagrees", "query-not-in-header", "duplicate-row"])
 def test_tsv_validation(tmp_path, text, line, message):
     p = tmp_path / "d.tsv"

@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qexp.classifier.network import SAME_CLASS, SiameseModel
-from qexp.classifier.training import example_sequence
+from qexp.classifier.network import SiameseModel, judged_same
+from qexp.classifier.training import encodable, example_sequence
 from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import Label, LabeledDataset
@@ -46,13 +46,8 @@ def build_reference_set(dataset: LabeledDataset, table: EmbeddingTable,
         rng = np.random.default_rng(Config.seed)
     pools = {Label.GOOD: [], Label.BAD: []}
     for ex in dataset.examples:
-        if ex.label not in pools:
-            continue
-        if ex.candidate_term not in table:
-            continue
-        if not any(t in table for t in ex.query_terms):
-            continue
-        pools[ex.label].append(ex)
+        if ex.label in pools and encodable(table, ex):
+            pools[ex.label].append(ex)
     half = size // 2
     items = []
     for label in (Label.GOOD, Label.BAD):
@@ -107,6 +102,5 @@ def p_good(query_terms, candidate: str, model: SiameseModel, refset: ReferenceSe
     if ref_reps is None:
         ref_reps = encode_reference_set(model, refset, table)
     tiled = np.tile(rep, (len(refset), 1))
-    probs = model.compare_probs(tiled, ref_reps)[:, SAME_CLASS]
-    same_flags = [bool(p >= 0.5) for p in probs]
+    same_flags = judged_same(model.compare_probs(tiled, ref_reps))
     return p_good_from_outcomes(same_flags, refset.labels())

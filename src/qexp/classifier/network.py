@@ -159,12 +159,8 @@ class SiameseModel:
 
     # --- encoder: BiLSTM + dense softmax representation ---
 
-    def encode_batch(self, x):
-        """Encode equal-length sequences x (B, T, d) into representations (B, r)."""
-        reps, _ = self._encode_batch_cached(x)
-        return reps
-
     def _encode_batch_cached(self, x):
+        """Representations (B, r) of equal-length sequences x (B, T, d), and the cache."""
         B, T, _ = x.shape
         fwd_states, fwd_cache = self._lstm_forward(x, "fwd")
         bwd_states_rev, bwd_cache = self._lstm_forward(x[:, ::-1], "bwd")
@@ -205,20 +201,18 @@ class SiameseModel:
             raise ValueError("sequence must be a non-empty (T, d) array")
         if seq.shape[1] != self.dim:
             raise ValueError(f"sequence dim {seq.shape[1]} != model dim {self.dim}")
-        return self.encode_batch(seq[None])[0]
+        return self._encode_batch_cached(seq[None])[0][0]
 
     # --- comparison head ---
 
+    def _compare_head(self, rep_left, rep_right):
+        """The head's feature rep_left - rep_right and its class probabilities (B, 2)."""
+        diff = rep_left - rep_right
+        return diff, _softmax(diff @ self.params["cmp.W"] + self.params["cmp.b"])
+
     def compare_probs(self, rep_left, rep_right) -> np.ndarray:
         """Class probabilities (B, 2) for representation pairs; column 1 is 'same'."""
-        diff = rep_left - rep_right
-        logits = diff @ self.params["cmp.W"] + self.params["cmp.b"]
-        return _softmax(logits)
-
-    def compare(self, rep_left, rep_right) -> float:
-        """Probability that the two encoded inputs carry the same label."""
-        probs = self.compare_probs(np.atleast_2d(rep_left), np.atleast_2d(rep_right))
-        return float(probs[0, SAME_CLASS])
+        return self._compare_head(rep_left, rep_right)[1]
 
     # --- training objective ---
 
@@ -240,10 +234,7 @@ class SiameseModel:
             reps[idxs] = group_reps
             caches.append((idxs, cache))
 
-        rep_l, rep_r = reps[:n], reps[n:]
-        diff = rep_l - rep_r
-        logits = diff @ self.params["cmp.W"] + self.params["cmp.b"]
-        probs = _softmax(logits)
+        diff, probs = self._compare_head(reps[:n], reps[n:])
         y = np.where(np.asarray(same_class, dtype=bool), SAME_CLASS, DIFF_CLASS)
         picked = probs[np.arange(n), y]
         loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
@@ -255,10 +246,16 @@ class SiameseModel:
         self._add_product(grads["cmp.W"], diff.T, d_logits)
         grads["cmp.b"] += d_logits.sum(axis=0)
         d_diff = d_logits @ self.params["cmp.W"].T
+        # the head's feature is rep_l - rep_r: +d_diff to the left, -d_diff to the right
         d_reps = np.concatenate([d_diff, -d_diff], axis=0)
         for idxs, cache in caches:
             self._encode_backward(d_reps[idxs], cache, grads)
         return loss, grads
+
+
+def judged_same(probs) -> np.ndarray:
+    """The same/different call on compare-head probabilities (B, 2): P(same) >= 0.5."""
+    return probs[:, SAME_CLASS] >= 0.5
 
 
 def _length_groups(seqs):

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qexp.classifier.network import SiameseModel
+from qexp.classifier.network import SiameseModel, judged_same
 from qexp.classifier.pairs import generate_pairs
 from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable
-from qexp.labeling import LabeledDataset
+from qexp.labeling import LabeledDataset, LabeledExample
 
 log = logging.getLogger(__name__)
 
@@ -95,20 +95,16 @@ def example_sequence(table: EmbeddingTable, query_terms, candidate: str) -> np.n
     return np.array(rows, dtype=np.float64)
 
 
+def encodable(table: EmbeddingTable, ex: LabeledExample) -> bool:
+    """Whether the candidate and at least one query term are in the table."""
+    return ex.candidate_term in table and any(t in table for t in ex.query_terms)
+
+
 def encodable_examples(dataset: LabeledDataset, table: EmbeddingTable):
     """Examples the network can consume, with their precomputed sequences."""
-    kept = []
-    seqs = []
-    dropped = 0
-    for ex in dataset.examples:
-        if ex.candidate_term not in table:
-            dropped += 1
-            continue
-        if not any(t in table for t in ex.query_terms):
-            dropped += 1
-            continue
-        kept.append(ex)
-        seqs.append(example_sequence(table, ex.query_terms, ex.candidate_term))
+    kept = [ex for ex in dataset.examples if encodable(table, ex)]
+    seqs = [example_sequence(table, ex.query_terms, ex.candidate_term) for ex in kept]
+    dropped = len(dataset) - len(kept)
     if dropped:
         log.warning("training data: %d of %d examples dropped (out of vocabulary)",
                     dropped, len(dataset))
@@ -157,10 +153,9 @@ def pair_accuracy(model: SiameseModel, table: EmbeddingTable, pairs) -> float:
         raise ValueError("no pairs to score")
     correct = 0
     for pair in pairs:
-        rep_l = model.encode(example_sequence(
-            table, pair.left.query_terms, pair.left.candidate_term))
-        rep_r = model.encode(example_sequence(
-            table, pair.right.query_terms, pair.right.candidate_term))
-        predicted_same = model.compare(rep_l, rep_r) >= 0.5
-        correct += predicted_same == pair.same_class
+        rep_l, rep_r = (
+            model.encode(example_sequence(table, ex.query_terms, ex.candidate_term))[None]
+            for ex in (pair.left, pair.right))
+        same = bool(judged_same(model.compare_probs(rep_l, rep_r))[0])
+        correct += same == pair.same_class
     return correct / len(pairs)

@@ -28,6 +28,18 @@ def _add_common(sub):
         sub.add_argument(flag)  # a string, parsed and checked by load_config
 
 
+def _method_list(text: str) -> list[str]:
+    """argparse type of --methods: comma-separated known names, each once."""
+    methods = [m.strip() for m in text.split(",")]
+    for i, m in enumerate(methods):
+        if m not in experiment.METHODS:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {m!r} in {text!r}; valid: {','.join(experiment.METHODS)}")
+        if m in methods[:i]:
+            raise argparse.ArgumentTypeError(f"method {m!r} named twice in {text!r}")
+    return methods
+
+
 def _cfg_from_args(args) -> config.Config:
     overrides = {}
     for item in args.set:
@@ -162,7 +174,7 @@ def cmd_eval(args) -> int:
     _require(cfg, "index", "topics", "qrels", "embeddings")
     stop, idx, topics, table = _load_retrieval_inputs(cfg)
     qrels = collection.load_qrels(cfg.qrels)
-    methods = args.methods.split(",") if args.methods else list(experiment.METHODS)
+    methods = args.methods or list(experiment.METHODS)
     dataset = None
     if "dec" in methods:
         _require(cfg, "dataset")
@@ -226,7 +238,7 @@ def main(argv=None) -> int:
 
     sp = subs.add_parser("eval", help="cross-validated method comparison")
     _add_common(sp)
-    sp.add_argument("--methods", help="comma-separated subset of "
+    sp.add_argument("--methods", type=_method_list, help="comma-separated subset of "
                     + ",".join(experiment.METHODS))
     sp.set_defaults(func=cmd_eval)
 

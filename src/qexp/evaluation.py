@@ -70,63 +70,28 @@ def paired_t_test(baseline_aps: dict, treatment_aps: dict) -> tuple[float, float
 
 
 def student_t_two_tailed_p(t: float, dof: int) -> float:
-    """P(|T| >= |t|) = I_x(dof/2, 1/2) with x = dof / (dof + t^2)."""
+    """P(|T| >= |t|) for Student's t with an integer dof, as a finite sum.
+
+    Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4 (even dof) give
+    A = P(|T| < |t|) in theta = atan(|t| / sqrt(dof)) with dof // 2 terms;
+    p = 1 - A, so a p-value below about 1e-15 keeps only its absolute accuracy.
+    """
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    x = dof / (dof + t * t)
-    return regularized_incomplete_beta(dof / 2.0, 0.5, x)
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) by Lentz's continued fraction, absolute error below 1e-12."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    # The continued fraction converges fastest for x below the split point.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
-def _beta_cf(a, b, x, max_iter=300, eps=1e-16):
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    if math.isnan(t):
+        raise ValueError("t is NaN, p undefined")
+    odd = dof % 2
+    theta = math.atan2(abs(t), math.sqrt(dof))
+    c, s = math.cos(theta), math.sin(theta)
+    # Even dof sums s * a_k * c^2k, odd dof s * b_k * c^(2k+1); in both, each
+    # term is the last times c^2 * (2k - 1 + odd) / (2k + odd).
+    term = s * c if odd else s
+    total = 0.0
+    for k in range(1, dof // 2 + 1):
+        total += term
+        term *= c * c * (2 * k - 1 + odd) / (2 * k + odd)
+    a = 2.0 / math.pi * (theta + total) if odd else total
+    return min(1.0, max(0.0, 1.0 - a))
 
 
 @dataclass

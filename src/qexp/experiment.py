@@ -88,7 +88,7 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
         test_topics = [topic_of[q] for q in test_qids]
         model = refset = ref_reps = None
         if "dec" in methods:
-            train_qids = [q for ids in fold_ids for q in ids if q not in set(test_qids)]
+            train_qids = [q for ids in fold_ids if ids is not test_qids for q in ids]
             train_data = dataset.for_queries(train_qids)
             if not len(train_data):
                 raise ValueError(f"fold {f}: no labeled training examples")

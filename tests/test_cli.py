@@ -118,7 +118,7 @@ def test_expand_dec_and_alpha_zero_matches_awe(learn_ws):
 
 def test_eval_writes_reports(ws, capsys):
     out = ("--output-dir", str(ws))
-    assert _run("eval", "--methods", "qlm,awe", "--set", f"topics={TOPICS}",
+    assert _run("eval", "--methods", "qlm, awe", "--set", f"topics={TOPICS}",
                 "--set", f"qrels={QRELS}", "--embeddings", VECTORS,
                 "--set", "folds=2", *out) == 0
     assert capsys.readouterr().out.startswith("method")
@@ -128,6 +128,20 @@ def test_eval_writes_reports(ws, capsys):
     csv_lines = (ws / "per_query_ap.csv").read_text().splitlines()
     assert csv_lines[0] == "query_id,qlm,awe"
     assert len(csv_lines) == 3
+
+
+@pytest.mark.parametrize("methods, bad", [
+    ("qlm,bm25", "unknown method 'bm25'"), ("qlm,qlm", "method 'qlm' named twice"),
+    ("qlm,", "unknown method ''")])
+def test_eval_bad_methods_exit_2_before_reading_inputs(methods, bad, tmp_path, capsys):
+    out = tmp_path / "out"
+    # the inputs do not exist, so exit 2 shows that none was read
+    with pytest.raises(SystemExit) as exc:
+        _run("eval", "--methods", methods, "--set", f"topics={tmp_path / 'missing'}",
+             "--output-dir", str(out))
+    assert exc.value.code == 2
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gradcheck_passes(capsys):

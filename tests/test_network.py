@@ -179,8 +179,8 @@ def test_compare_head_hand_computed():
     ]
     e = [math.exp(v - max(logits)) for v in logits]
     p_same = e[SAME_CLASS] / sum(e)
-    assert m.compare(rep_l, rep_r) == pytest.approx(p_same, abs=1e-14)
     probs = m.compare_probs(rep_l[None], rep_r[None])
+    assert probs[0, SAME_CLASS] == pytest.approx(p_same, abs=1e-14)
     assert probs.shape == (1, 2)
     assert probs.sum() == pytest.approx(1.0)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from reference_network import ReferenceAdam, ReferenceModel
 
-from qexp.classifier.network import PARAM_ORDER, SiameseModel
+from qexp.classifier.network import DIFF_CLASS, PARAM_ORDER, SAME_CLASS, SiameseModel
 from qexp.classifier.pairs import generate_pairs
 from qexp.classifier.training import (ADAM_BLOCK, Adam, TrainConfig,
                                       encodable_examples, example_sequence,
@@ -213,10 +213,16 @@ def test_pair_accuracy_counts_threshold_calls():
     model = SiameseModel(4, 3, 4, np.random.default_rng(0))
     pairs = generate_pairs(_cluster_dataset().examples, balance=True,
                            rng=np.random.default_rng(1), budget=20)
-    model.compare = lambda a, b: 0.9  # always predicts same-class
+
+    def forced(p_same):
+        probs = np.empty((1, 2))
+        probs[0, SAME_CLASS], probs[0, DIFF_CLASS] = p_same, 1.0 - p_same
+        return lambda a, b: probs
+
+    model.compare_probs = forced(0.9)  # always predicts same-class
     expected = sum(1 for p in pairs if p.same_class) / len(pairs)
     assert pair_accuracy(model, table, pairs) == expected
-    model.compare = lambda a, b: 0.1  # always predicts different
+    model.compare_probs = forced(0.1)  # always predicts different
     assert pair_accuracy(model, table, pairs) == 1.0 - expected
     with pytest.raises(ValueError, match="no pairs"):
         pair_accuracy(model, table, [])

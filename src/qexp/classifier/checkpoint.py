@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from qexp.classifier.network import PARAM_ORDER, SiameseModel, param_shapes
-from qexp.collection import ParseError
+from qexp.collection import ParseError, write_file
 from qexp.config import check
 
 MODEL_MAGIC = b"QXDM"
@@ -39,7 +39,7 @@ def save_model(model: SiameseModel, path, seed: int):
     for name in PARAM_ORDER:
         tensor = np.ascontiguousarray(model.params[name], dtype=np.float64)
         out += tensor.tobytes()
-    Path(path).write_bytes(bytes(out))
+    write_file(path, out)
 
 
 def load_model(path) -> tuple[SiameseModel, int]:
@@ -77,7 +77,5 @@ def load_model(path) -> tuple[SiameseModel, int]:
 
 def write_loss_csv(history, path):
     """History rows (epoch, batch, loss) as a three-column CSV."""
-    with open(path, "w") as f:
-        f.write("epoch,batch,loss\n")
-        for epoch, batch, loss in history:
-            f.write(f"{epoch},{batch},{loss!r}\n")
+    write_file(path, "epoch,batch,loss\n" + "".join(
+        f"{epoch},{batch},{loss!r}\n" for epoch, batch, loss in history))

@@ -186,9 +186,9 @@ def cmd_eval(args) -> int:
         rep=cfg.rep, pooling=cfg.pooling, stopwords=stop, mu=cfg.mu,
         depth=cfg.depth)
     report = experiment.format_report(result)
-    _out(cfg, "report.txt").write_text(report)
-    _out(cfg, "report.tsv").write_text(experiment.report_tsv(result))
-    _out(cfg, "per_query_ap.csv").write_text(experiment.per_query_csv(result))
+    collection.write_file(_out(cfg, "report.txt"), report)
+    collection.write_file(_out(cfg, "report.tsv"), experiment.report_tsv(result))
+    collection.write_file(_out(cfg, "per_query_ap.csv"), experiment.per_query_csv(result))
     print(report, end="")
     print(f"wrote {_out(cfg, 'report.txt')}")
     return 0

@@ -17,6 +17,7 @@ ascend strictly within each posting list. Terms and doc ids are unique.
 """
 
 import logging
+import os
 import re
 import struct
 from collections import Counter
@@ -50,6 +51,24 @@ def text_lines(path, error=ParseError):
                 except UnicodeEncodeError:
                     raise error(f"{path}:{lineno}: line is not valid UTF-8") from None
             yield lineno, line
+
+
+def write_file(path, data):
+    """Write str (as UTF-8) or bytes-like data to path, replacing it in one step.
+
+    The data goes to ``.<name>.<pid>.tmp`` beside the target, which
+    ``os.replace`` then moves over it; on any error the temporary file is
+    removed, so the target keeps its earlier bytes. A symlink is written
+    through to its target."""
+    path = Path(path).resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -146,7 +165,7 @@ class InvertedIndex:
                             for lo, hi in zip(bounds, bounds[1:]))
         sections = (_pack_strings(self.terms, self.collection_freq.tolist()), postings,
                     _pack_strings(self.doc_ids, self.doc_len.tolist()))
-        Path(path).write_bytes(INDEX_MAGIC + bytes([INDEX_VERSION]) + b"".join(
+        write_file(path, INDEX_MAGIC + bytes([INDEX_VERSION]) + b"".join(
             struct.pack("<Q", len(section)) + section for section in sections))
 
     @classmethod

@@ -100,7 +100,6 @@ class EvalResult:
 
     per_query_ap: dict[str, float]
     per_query_p10: dict[str, float]
-    depth: int = Config.depth
 
     @property
     def map(self) -> float:
@@ -124,7 +123,7 @@ def evaluate_rankings(rankings, qrels: Qrels, depth: int = Config.depth) -> Eval
         p10[ranked.query_id] = precision_at(ranked, qrels, 10)
     if not ap:
         raise ValueError("no rankings to evaluate")
-    return EvalResult(ap, p10, depth)
+    return EvalResult(ap, p10)
 
 
 @dataclass

@@ -64,6 +64,9 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; valid: {list(METHODS)}")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise ValueError(f"methods named more than once: {repeated}")
     if expansion_cfg is None:
         expansion_cfg = ExpansionConfig()
     if "dec" in methods and dataset is None:

@@ -12,7 +12,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from qexp.collection import InvertedIndex, ParseError, Qrels, Topic, text_lines
+from qexp.collection import InvertedIndex, ParseError, Qrels, Topic, text_lines, write_file
 from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable, centroid, top_k_neighbors
 from qexp.evaluation import average_precision
@@ -82,11 +82,9 @@ class LabeledDataset:
             qid: terms for qid, terms in sorted(
                 {ex.query_id: ex.query_terms for ex in self.examples}.items())
         }
-        with open(path, "w") as f:
-            f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-            for ex in self.examples:
-                f.write(f"{ex.query_id}\t{ex.candidate_term}\t{ex.label.value}\t"
-                        f"{ex.ap_delta!r}\n")
+        write_file(path, "# " + json.dumps(meta, sort_keys=True) + "\n" + "".join(
+            f"{ex.query_id}\t{ex.candidate_term}\t{ex.label.value}\t{ex.ap_delta!r}\n"
+            for ex in self.examples))
 
     @classmethod
     def load_tsv(cls, path) -> "LabeledDataset":
@@ -270,7 +268,8 @@ def dataset_statistics(dataset: LabeledDataset, topics, idx: InvertedIndex,
         t.query_id: baseline_ap(t, idx, qrels, mu, depth)
         for t in topics if t.query_id in labeled_qids
     }
-    _, oracle_map = oracle_run(dataset, topics, idx, qrels, mu, depth)
+    oracle_map = (oracle_run(dataset, topics, idx, qrels, mu, depth)[1]
+                  if labeled_qids else 0.0)
     return {
         "num_examples": total,
         "num_queries": len(labeled_qids),

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qexp.collection import InvertedIndex, ParseError, text_lines
+from qexp.collection import InvertedIndex, write_file
 from qexp.config import Config, check
 
 
@@ -88,34 +88,7 @@ def write_run(ranked_lists, path, tag: str = "qexp"):
 
     Scores are written with 6 decimal places; query order is preserved.
     """
-    with open(path, "w") as f:
-        for ranked in ranked_lists:
-            for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
-                f.write(f"{ranked.query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
-
-
-def read_run(path) -> list[RankedList]:
-    """Read a TREC run file back into ranked lists.
-
-    The rank column must agree with line order within each query.
-    """
-    lists: dict[str, RankedList] = {}
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-        qid, _, doc_id, rank_s, score_s, _ = parts
-        try:
-            rank = int(rank_s)
-            score = float(score_s)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad rank or score") from None
-        ranked = lists.setdefault(qid, RankedList(qid))
-        if rank != len(ranked.entries) + 1:
-            raise ParseError(
-                f"{path}:{lineno}: rank {rank} disagrees with position "
-                f"{len(ranked.entries) + 1}")
-        ranked.entries.append((doc_id, score))
-    return list(lists.values())
+    write_file(path, "".join(
+        f"{ranked.query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n"
+        for ranked in ranked_lists
+        for rank, (doc_id, score) in enumerate(ranked.entries, start=1)))

@@ -7,7 +7,6 @@ import pytest
 from qexp.cli import main
 from qexp.config import RANGES, ConfigError, load_config
 from qexp.labeling import Label, LabeledDataset, LabeledExample
-from qexp.retrieval import read_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = str(FIXTURES / "mini_corpus.sgml")
@@ -18,6 +17,11 @@ VECTORS = str(FIXTURES / "tiny_vectors.txt")
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _run_query_ids(path):
+    """Query ids of a run file, in order of first appearance."""
+    return list(dict.fromkeys(line.split()[0] for line in path.read_text().splitlines()))
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +77,20 @@ def test_label_writes_dataset(ws):
     assert {ex.query_id for ex in ds.examples} == {"701", "702"}
 
 
+def test_label_with_nothing_to_label_writes_an_empty_dataset(ws, tmp_path, capsys):
+    topics = tmp_path / "topics.txt"
+    topics.write_text("<top>\n<num> Number: 701\n<title> zebra quokka\n</top>\n")
+    assert _run("label", "--workers", "1", "--set", f"index={ws / 'index.qxix'}",
+                "--set", f"topics={topics}", "--set", f"qrels={QRELS}",
+                "--embeddings", VECTORS, "--output-dir", str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert "examples: 0 over 0 queries" in out and "oracle MAP: 0.0000" in out
+    assert len(LabeledDataset.load_tsv(tmp_path / "dataset.tsv")) == 0
+
+
 def test_expand_writes_parseable_runs(ws):
     for method in ("qlm", "awe", "eqe1"):
-        runs = read_run(ws / f"run_{method}.txt")
-        assert [r.query_id for r in runs] == ["701", "702"]
-        assert all(r.entries for r in runs)
+        assert _run_query_ids(ws / f"run_{method}.txt") == ["701", "702"]
     first = (ws / "run_qlm.txt").read_text().splitlines()[0].split()
     assert first[1] == "Q0" and first[3] == "1" and first[5] == "qlm"
 
@@ -105,8 +118,7 @@ def test_expand_dec_and_alpha_zero_matches_awe(learn_ws):
     common = ("--set", f"topics={TOPICS}", "--embeddings", VECTORS,
               "--set", "refset_size=4")
     assert _run("expand", "--method", "dec", *common, *out) == 0
-    runs = read_run(learn_ws / "run_dec.txt")
-    assert [r.query_id for r in runs] == ["701", "702"]
+    assert _run_query_ids(learn_ws / "run_dec.txt") == ["701", "702"]
     # with the classifier's influence switched off the run collapses to
     # the plain centroid expansion, byte for byte
     assert _run("expand", "--method", "dec", *common, "--set", "alpha=0",

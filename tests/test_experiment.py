@@ -100,6 +100,9 @@ def test_cv_validation_errors(mini_topics, mini_index, mini_qrels, tiny_table,
     with pytest.raises(ValueError, match="unknown methods"):
         cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, None,
                        methods=("qlm", "bm25"), folds=2)
+    with pytest.raises(ValueError, match=r"named more than once: \['qlm'\]"):
+        cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, None,
+                       methods=("qlm", "awe", "qlm"), folds=2)
     with pytest.raises(ValueError, match="needs a labeled dataset"):
         cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, None,
                        methods=("dec",), folds=2)

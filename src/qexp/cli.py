@@ -128,6 +128,9 @@ def cmd_train(args) -> int:
     cfg = _cfg_from_args(args)
     _require(cfg, "dataset", "embeddings", "model")
     dataset = labeling.LabeledDataset.load_tsv(_out(cfg, cfg.dataset))
+    if not dataset.examples:
+        raise ValueError(f"{_out(cfg, cfg.dataset)}: no labeled examples; training "
+                         "needs at least 2 encodable labeled examples")
     keep = {t for ex in dataset.examples for t in ex.query_terms}
     keep.update(ex.candidate_term for ex in dataset.examples)
     table = embeddings.load_embeddings(cfg.embeddings, restrict_to=keep)

@@ -10,6 +10,10 @@ from qexp.config import check
 
 log = logging.getLogger(__name__)
 
+# top_k_neighbors first sorts only the rows at or above the (_HEAD_FACTOR * k)-th
+# highest cosine; the spare rows cover terms that its within filter rejects
+_HEAD_FACTOR = 2
+
 
 class EmbeddingTable:
     """Immutable term -> dense vector table with a stable vocabulary order."""
@@ -135,9 +139,10 @@ def top_k_neighbors(v: np.ndarray, k: int, table: EmbeddingTable,
     Equal cosines (0.0 and -0.0 included) break by term in Python string
     order. Excluded terms and terms with a zero vector are never returned;
     with within (any container), neither is a term not in it. Returns fewer
-    than k entries when fewer terms qualify. One matrix-vector product and
-    one sort over the table; Python then walks the order only until k
-    entries are out.
+    than k entries when fewer terms qualify. One matrix-vector product, then
+    one sort of the head: the rows whose cosine reaches the _HEAD_FACTOR*k-th
+    highest, ties included, a prefix of the full order. Python walks it until
+    k entries are out; while within rejects too many, the head doubles.
     """
     check("k", k, "pool_size")
     v = np.asarray(v, dtype=np.float64)
@@ -152,12 +157,21 @@ def top_k_neighbors(v: np.ndarray, k: int, table: EmbeddingTable,
         if row is not None:
             keep[row] = False
     rows = np.flatnonzero(keep)
-    order = rows[np.lexsort((table._term_rank[rows], -sims[rows]))]
     out = []
-    for i in order.tolist():
-        term = table.terms[i]
-        if within is None or term in within:
-            out.append((term, float(sims[i])))
-            if len(out) == k:
-                break
-    return out
+    walked = 0
+    size = _HEAD_FACTOR * k
+    while True:
+        head = rows
+        if size < len(rows):
+            head = rows[sims[rows] >= np.partition(sims[rows], -size)[-size]]
+        order = head[np.lexsort((table._term_rank[head], -sims[head]))]
+        for i in order[walked:].tolist():
+            term = table.terms[i]
+            if within is None or term in within:
+                out.append((term, float(sims[i])))
+                if len(out) == k:
+                    return out
+        if len(head) == len(rows):
+            return out
+        walked = len(head)
+        size = 2 * max(size, len(head))

@@ -9,19 +9,24 @@ from qexp.retrieval import RankedList
 
 
 def average_precision(ranked: RankedList, qrels: Qrels, depth: int = Config.depth) -> float:
+    """AP of the ranked list's top depth entries; see ap_from_ranks."""
+    return ap_from_ranks(ranked.query_id, [
+        i for i, (doc_id, _) in enumerate(ranked.entries[:depth], start=1)
+        if qrels.is_relevant(ranked.query_id, doc_id)], qrels)
+
+
+def ap_from_ranks(query_id: str, ranks, qrels: Qrels) -> float:
     """AP = (1/R) * sum over relevant retrieved ranks i of (hits at i / i).
 
+    ranks are the ascending 1-based ranks of the relevant retrieved documents.
     R counts all judged-relevant documents for the query, retrieved or not.
     """
-    r_total = qrels.num_relevant(ranked.query_id)
+    r_total = qrels.num_relevant(query_id)
     if r_total == 0:
-        raise ValueError(f"query {ranked.query_id}: no relevant documents, AP undefined")
-    hits = 0
+        raise ValueError(f"query {query_id}: no relevant documents, AP undefined")
     ap_sum = 0.0
-    for i, (doc_id, _) in enumerate(ranked.entries[:depth], start=1):
-        if qrels.is_relevant(ranked.query_id, doc_id):
-            hits += 1
-            ap_sum += hits / i
+    for hits, i in enumerate(ranks, start=1):
+        ap_sum += hits / i
     return ap_sum / r_total
 
 

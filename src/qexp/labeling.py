@@ -5,6 +5,7 @@ original title terms) raises the query's average precision, bad when it
 lowers it, and neutral when the change stays within the threshold eps.
 """
 
+import bisect
 import enum
 import json
 import logging
@@ -12,11 +13,13 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from qexp.collection import InvertedIndex, ParseError, Qrels, Topic, text_lines, write_file
 from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable, centroid, top_k_neighbors
-from qexp.evaluation import average_precision
-from qexp.retrieval import QueryModel, retrieve
+from qexp.evaluation import ap_from_ranks, average_precision
+from qexp.retrieval import QueryModel, retrieve, term_scores
 
 log = logging.getLogger(__name__)
 
@@ -158,25 +161,69 @@ def scored_candidate_pool(topic: Topic, table: EmbeddingTable, idx: InvertedInde
     return top_k_neighbors(center, pool_size, table, exclude=exclude, within=idx)
 
 
+def label_terms(topic: Topic, terms, idx: InvertedIndex, qrels: Qrels,
+                mu: float = Config.mu, eps: float = Config.eps,
+                depth: int = Config.depth) -> tuple[float, list[tuple[Label, float]]]:
+    """The title's AP, and each candidate's label and AP change when it is
+    added to the title with weight 1, bit-identical to retrieve and
+    average_precision per query. Title summands over the documents of the title
+    and all candidates, their running sums in sorted term order and the
+    relevance mask are computed once; a candidate adds its summand at its
+    sorted slot and ranks only the title's and its own documents.
+    """
+    check("mu", mu)
+    check("depth", depth)
+    weights = QueryModel.from_terms(topic.query_id, topic.title_terms).weights
+    title = sorted(t for t in weights if idx.collection_prob(t) > 0.0)
+    in_title = np.zeros(idx.num_docs, dtype=bool)
+    for t in title:
+        in_title[idx.postings(t)[0]] = True
+    in_union = in_title.copy()
+    for t in terms:
+        if idx.collection_prob(t) > 0.0:
+            in_union[idx.postings(t)[0]] = True
+    docs = np.flatnonzero(in_union)
+    in_title = in_title[docs]
+    lengths, length_of = np.unique(idx.doc_len[docs] + mu, return_inverse=True)
+    summands = [term_scores(idx, t, weights[t], mu, docs, lengths, length_of)
+                for t in title]
+    prefix = [np.zeros(len(docs))]
+    for summand in summands:
+        prefix.append(prefix[-1] + summand)
+    relevant = np.array([qrels.is_relevant(topic.query_id, idx.doc_ids[d])
+                         for d in docs.tolist()], dtype=bool)
+    # positions in docs by doc id, so a stable sort on score breaks ties as retrieve
+    by_rank = np.argsort(idx.doc_rank[docs])
+    aps = []
+    for term in [None, *terms]:  # None: the title alone
+        slot = len(title) if term is None else bisect.bisect_left(title, term)
+        in_query = in_title.copy()
+        added = []
+        if term is not None and idx.collection_prob(term) > 0.0:
+            in_query[np.searchsorted(docs, idx.postings(term)[0])] = True
+            added = [term_scores(idx, term, weights.get(term, 0.0) + 1.0, mu,
+                                 docs, lengths, length_of)]
+        rows = by_rank[in_query[by_rank]]
+        scores = prefix[slot][rows]
+        for summand in added + summands[slot + (title[slot:slot + 1] == [term]):]:
+            scores += summand[rows]
+        top = rows[np.argsort(-scores, kind="stable")[:depth]]
+        aps.append(ap_from_ranks(topic.query_id,
+                                 (np.flatnonzero(relevant[top]) + 1).tolist(), qrels))
+    deltas = [ap - aps[0] for ap in aps[1:]]
+    return aps[0], [(label_for_delta(delta, eps), delta) for delta in deltas]
+
+
 def baseline_ap(topic: Topic, idx: InvertedIndex, qrels: Qrels,
                 mu: float = Config.mu, depth: int = Config.depth) -> float:
-    ranked = retrieve(QueryModel.from_terms(topic.query_id, topic.title_terms),
-                      idx, mu, depth)
-    return average_precision(ranked, qrels, depth)
+    return label_terms(topic, [], idx, qrels, mu, depth=depth)[0]
 
 
 def label_term(topic: Topic, term: str, idx: InvertedIndex, qrels: Qrels,
                mu: float = Config.mu, eps: float = Config.eps,
-               base_ap: float | None = None,
                depth: int = Config.depth) -> tuple[Label, float]:
     """Label one candidate by the AP change of the expanded query."""
-    if base_ap is None:
-        base_ap = baseline_ap(topic, idx, qrels, mu, depth)
-    expanded = QueryModel.from_terms(topic.query_id, [*topic.title_terms, term])
-    ranked = retrieve(expanded, idx, mu, depth)
-    ap = average_precision(ranked, qrels, depth)
-    delta = ap - base_ap
-    return label_for_delta(delta, eps), delta
+    return label_terms(topic, [term], idx, qrels, mu, eps, depth)[1][0]
 
 
 _WORKER_CTX = None
@@ -189,13 +236,10 @@ def _init_worker(ctx):
 
 def _label_query(topic: Topic) -> list[LabeledExample]:
     idx, qrels, table, pool_size, eps, mu, depth, stopwords = _WORKER_CTX
-    base = baseline_ap(topic, idx, qrels, mu, depth)
-    examples = []
-    for term, _ in scored_candidate_pool(topic, table, idx, pool_size, stopwords):
-        label, delta = label_term(topic, term, idx, qrels, mu, eps, base, depth)
-        examples.append(LabeledExample(topic.query_id, topic.title_terms, term,
-                                       label, delta))
-    return examples
+    terms = [t for t, _ in scored_candidate_pool(topic, table, idx, pool_size, stopwords)]
+    _, labels = label_terms(topic, terms, idx, qrels, mu, eps, depth)
+    return [LabeledExample(topic.query_id, topic.title_terms, term, label, delta)
+            for term, (label, delta) in zip(terms, labels)]
 
 
 def build_dataset(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTable,

@@ -55,11 +55,10 @@ def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
     """Rank every document sharing a query term by Dirichlet-smoothed query likelihood.
 
     score(d) = sum_w weight(w) * log((tf(w,d) + mu*p(w|C)) / (|d| + mu)),
-    added term at a time in sorted term order; math.log runs once per distinct
-    ratio, as np.log may differ from it in the last bit. Terms with zero
-    collection probability contribute nothing. Documents without any query
-    term tie below all matching documents at the depths used, so they are
-    never candidates.
+    added term at a time in sorted term order, each term's summand from
+    term_scores. Terms with zero collection probability contribute nothing.
+    Documents without any query term tie below all matching documents at the
+    depths used, so they are never candidates.
     """
     check("mu", mu)
     check("depth", depth)
@@ -67,20 +66,34 @@ def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
                    if w > 0.0 and idx.collection_prob(t) > 0.0)
     if not terms:
         return RankedList(q.query_id)
-    postings = [idx.postings(t) for t in terms]
-    docs = np.unique(np.concatenate([doc_index for doc_index, _ in postings]))
-    doc_len = idx.doc_len[docs] + mu
+    docs = np.unique(np.concatenate([idx.postings(t)[0] for t in terms]))
+    lengths, length_of = np.unique(idx.doc_len[docs] + mu, return_inverse=True)
     scores = np.zeros(len(docs))
-    for term, (doc_index, term_tf) in zip(terms, postings):
-        tf = np.zeros(len(docs))
-        tf[np.searchsorted(docs, doc_index)] = term_tf
-        ratios, inverse = np.unique((tf + mu * idx.collection_prob(term)) / doc_len,
-                                    return_inverse=True)
-        logs = np.array([math.log(r) for r in ratios.tolist()])
-        scores += q.weights[term] * logs[inverse]
+    for term in terms:
+        scores += term_scores(idx, term, q.weights[term], mu, docs, lengths, length_of)
     top = np.lexsort((idx.doc_rank[docs], -scores))[:depth]
     return RankedList(q.query_id, list(zip([idx.doc_ids[i] for i in docs[top].tolist()],
                                            scores[top].tolist())))
+
+
+def term_scores(idx: InvertedIndex, term: str, weight: float, mu: float,
+                docs: np.ndarray, lengths: np.ndarray, length_of: np.ndarray) -> np.ndarray:
+    """weight * log((tf(term,d) + mu*p(term|C)) / (|d| + mu)) for each d of docs
+    (ascending, holding every posting of the term; |d| + mu is lengths[length_of]).
+
+    One posting list plus one ratio per distinct length; math.log runs once per
+    distinct ratio, as np.log may differ from it in the last bit.
+    """
+    doc_index, term_tf = idx.postings(term)
+    at = np.searchsorted(docs, doc_index)
+    smoothed = mu * idx.collection_prob(term)
+    ratios = np.concatenate((smoothed / lengths,
+                             (term_tf + smoothed) / lengths[length_of[at]])).tolist()
+    log_of = {r: math.log(r) for r in set(ratios)}
+    logs = weight * np.array([log_of[r] for r in ratios])
+    scores = logs[:len(lengths)][length_of]
+    scores[at] = logs[len(lengths):]
+    return scores
 
 
 def write_run(ranked_lists, path, tag: str = "qexp"):

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qexp.classifier.checkpoint import (MODEL_MAGIC, load_model, save_model,
                                         write_loss_csv)
@@ -105,6 +106,30 @@ def test_load_checks_length_before_allocating(tmp_path):
     path.write_bytes(MODEL_MAGIC + bytes([1, 0]) + struct.pack("<IIIQ", big, big, big, 0))
     with pytest.raises(ParseError, match="truncated checkpoint, header implies"):
         load_model(path)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_model_mutation_loads_identically_or_raises_parse_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.qxdm"
+    save_model(_model(data.draw(st.sampled_from(["last", "mean"]))), path, seed=2**64 - 1)
+    raw = bytearray(path.read_bytes())
+    kind = data.draw(st.sampled_from(["truncate", "flip", "append"]))
+    if kind == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif kind == "flip":
+        # one branch draws only the 26 header bytes, a small share of the file
+        at = data.draw(st.integers(0, 25) | st.integers(0, len(raw) - 1))
+        raw[at] ^= data.draw(st.integers(1, 255))
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    path.write_bytes(raw)
+    try:
+        model, seed = load_model(path)
+    except ParseError:
+        return
+    save_model(model, path, seed)
+    assert path.read_bytes() == raw
 
 
 def test_loss_csv_format(tmp_path):

@@ -88,6 +88,20 @@ def test_label_with_nothing_to_label_writes_an_empty_dataset(ws, tmp_path, capsy
     assert len(LabeledDataset.load_tsv(tmp_path / "dataset.tsv")) == 0
 
 
+def test_train_on_an_empty_dataset_exits_1_naming_it(ws, tmp_path, capsys):
+    topics = tmp_path / "topics.txt"
+    topics.write_text("<top>\n<num> Number: 701\n<title> zebra quokka\n</top>\n")
+    assert _run("label", "--workers", "1", "--set", f"index={ws / 'index.qxix'}",
+                "--set", f"topics={topics}", "--set", f"qrels={QRELS}",
+                "--embeddings", VECTORS, "--output-dir", str(tmp_path)) == 0
+    capsys.readouterr()
+    assert _run("train", "--embeddings", VECTORS, "--output-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'dataset.tsv'}: no labeled examples" in err
+    assert "at least 2 encodable labeled examples" in err
+    assert not (tmp_path / "model.qxdm").exists()
+
+
 def test_expand_writes_parseable_runs(ws):
     for method in ("qlm", "awe", "eqe1"):
         assert _run_query_ids(ws / f"run_{method}.txt") == ["701", "702"]

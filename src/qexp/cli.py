@@ -40,6 +40,13 @@ def _method_list(text: str) -> list[str]:
     return methods
 
 
+def _run_tag(text: str) -> str:
+    """argparse type of --tag: one column of a run file, so no whitespace."""
+    if any(c.isspace() for c in text):
+        raise argparse.ArgumentTypeError(f"run tag {text!r} holds whitespace")
+    return text
+
+
 def _cfg_from_args(args) -> config.Config:
     overrides = {}
     for item in args.set:
@@ -236,7 +243,7 @@ def main(argv=None) -> int:
     sp = subs.add_parser("expand", help="write a retrieval run for one method")
     _add_common(sp)
     sp.add_argument("--method", choices=experiment.METHODS, required=True)
-    sp.add_argument("--tag", help="run tag (default: the method name)")
+    sp.add_argument("--tag", type=_run_tag, help="run tag (default: the method name)")
     sp.set_defaults(func=cmd_expand)
 
     sp = subs.add_parser("eval", help="cross-validated method comparison")

@@ -160,11 +160,9 @@ class InvertedIndex:
 
     def save(self, path):
         pairs = np.stack((self.doc_index, self.tf), axis=1).astype("<u4", copy=False)
-        bounds = self.offsets.tolist()
-        postings = b"".join(struct.pack("<I", hi - lo) + pairs[lo:hi].tobytes()
-                            for lo, hi in zip(bounds, bounds[1:]))
-        sections = (_pack_strings(self.terms, self.collection_freq.tolist()), postings,
-                    _pack_strings(self.doc_ids, self.doc_len.tolist()))
+        postings = np.insert(pairs.ravel(), 2 * self.offsets[:-1], np.diff(self.offsets))
+        sections = (_pack_strings(self.terms, self.collection_freq.tolist()),
+                    postings.tobytes(), _pack_strings(self.doc_ids, self.doc_len.tolist()))
         write_file(path, INDEX_MAGIC + bytes([INDEX_VERSION]) + b"".join(
             struct.pack("<Q", len(section)) + section for section in sections))
 
@@ -223,6 +221,10 @@ def ingest_trec_docs(path, stopwords) -> list[Document]:
         if m is None:
             raise ParseError(f"{path}: missing <DOCNO> in <DOC> at byte offset {start}")
         doc_id = m.group(1).strip()
+        if not doc_id or any(c.isspace() for c in doc_id):
+            # a run file line is six whitespace-separated columns, the doc id one of them
+            raise ParseError(f"{path}: DOCNO {doc_id!r} is empty or holds whitespace, "
+                             f"in <DOC> at byte offset {start}")
         if doc_id in seen:
             raise ParseError(f"{path}: duplicate DOCNO {doc_id!r} at byte offset {start}")
         seen.add(doc_id)

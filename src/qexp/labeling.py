@@ -7,6 +7,7 @@ lowers it, and neutral when the change stays within the threshold eps.
 
 import bisect
 import enum
+import itertools
 import json
 import logging
 import multiprocessing
@@ -19,7 +20,7 @@ from qexp.collection import InvertedIndex, ParseError, Qrels, Topic, text_lines,
 from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable, centroid, top_k_neighbors
 from qexp.evaluation import ap_from_ranks, average_precision
-from qexp.retrieval import QueryModel, retrieve, term_scores
+from qexp.retrieval import QueryModel, doc_union, retrieve, term_scores
 
 log = logging.getLogger(__name__)
 
@@ -129,6 +130,8 @@ class LabeledDataset:
                 delta = float(delta_s)
             except ValueError:
                 raise ParseError(f"{where}: ap_delta {delta_s!r} is not a number") from None
+            if not -1.0 <= delta <= 1.0:  # an AP change; also rejects nan
+                raise ParseError(f"{where}: ap_delta {delta_s!r} is outside [-1, 1]")
             if label is not label_for_delta(delta, eps):
                 raise ParseError(f"{where}: label {label_s} inconsistent with "
                                  f"ap_delta {delta} at eps {eps}")
@@ -175,21 +178,13 @@ def label_terms(topic: Topic, terms, idx: InvertedIndex, qrels: Qrels,
     check("depth", depth)
     weights = QueryModel.from_terms(topic.query_id, topic.title_terms).weights
     title = sorted(t for t in weights if idx.collection_prob(t) > 0.0)
-    in_title = np.zeros(idx.num_docs, dtype=bool)
+    union = doc_union(idx, [*title, *terms], mu)
+    docs = union[0]
+    in_title = np.zeros(len(docs), dtype=bool)
     for t in title:
-        in_title[idx.postings(t)[0]] = True
-    in_union = in_title.copy()
-    for t in terms:
-        if idx.collection_prob(t) > 0.0:
-            in_union[idx.postings(t)[0]] = True
-    docs = np.flatnonzero(in_union)
-    in_title = in_title[docs]
-    lengths, length_of = np.unique(idx.doc_len[docs] + mu, return_inverse=True)
-    summands = [term_scores(idx, t, weights[t], mu, docs, lengths, length_of)
-                for t in title]
-    prefix = [np.zeros(len(docs))]
-    for summand in summands:
-        prefix.append(prefix[-1] + summand)
+        in_title[np.searchsorted(docs, idx.postings(t)[0])] = True
+    summands = [term_scores(idx, t, weights[t], mu, union) for t in title]
+    prefix = list(itertools.accumulate(summands, initial=np.zeros(len(docs))))
     relevant = np.array([qrels.is_relevant(topic.query_id, idx.doc_ids[d])
                          for d in docs.tolist()], dtype=bool)
     # positions in docs by doc id, so a stable sort on score breaks ties as retrieve
@@ -201,8 +196,7 @@ def label_terms(topic: Topic, terms, idx: InvertedIndex, qrels: Qrels,
         added = []
         if term is not None and idx.collection_prob(term) > 0.0:
             in_query[np.searchsorted(docs, idx.postings(term)[0])] = True
-            added = [term_scores(idx, term, weights.get(term, 0.0) + 1.0, mu,
-                                 docs, lengths, length_of)]
+            added = [term_scores(idx, term, weights.get(term, 0.0) + 1.0, mu, union)]
         rows = by_rank[in_query[by_rank]]
         scores = prefix[slot][rows]
         for summand in added + summands[slot + (title[slot:slot + 1] == [term]):]:

@@ -64,26 +64,37 @@ def retrieve(q: QueryModel, idx: InvertedIndex, mu: float = Config.mu,
     check("depth", depth)
     terms = sorted(t for t, w in q.weights.items()
                    if w > 0.0 and idx.collection_prob(t) > 0.0)
-    if not terms:
-        return RankedList(q.query_id)
-    docs = np.unique(np.concatenate([idx.postings(t)[0] for t in terms]))
-    lengths, length_of = np.unique(idx.doc_len[docs] + mu, return_inverse=True)
+    union = doc_union(idx, terms, mu)
+    docs = union[0]
     scores = np.zeros(len(docs))
     for term in terms:
-        scores += term_scores(idx, term, q.weights[term], mu, docs, lengths, length_of)
+        scores += term_scores(idx, term, q.weights[term], mu, union)
     top = np.lexsort((idx.doc_rank[docs], -scores))[:depth]
     return RankedList(q.query_id, list(zip([idx.doc_ids[i] for i in docs[top].tolist()],
                                            scores[top].tolist())))
 
 
+def doc_union(idx: InvertedIndex, terms, mu: float):
+    """(ascending doc indexes holding a term of nonzero collection probability,
+    the distinct |d| + mu among them, each document's position in those)"""
+    in_union = np.zeros(idx.num_docs, dtype=bool)
+    for term in terms:
+        if idx.collection_prob(term) > 0.0:
+            in_union[idx.postings(term)[0]] = True
+    docs = np.flatnonzero(in_union)
+    return (docs, *np.unique(idx.doc_len[docs] + mu, return_inverse=True))
+
+
 def term_scores(idx: InvertedIndex, term: str, weight: float, mu: float,
-                docs: np.ndarray, lengths: np.ndarray, length_of: np.ndarray) -> np.ndarray:
-    """weight * log((tf(term,d) + mu*p(term|C)) / (|d| + mu)) for each d of docs
-    (ascending, holding every posting of the term; |d| + mu is lengths[length_of]).
+                union) -> np.ndarray:
+    """weight * log((tf(term,d) + mu*p(term|C)) / (|d| + mu)) for each d of the
+    doc_union, which holds every posting of the term.
 
     One posting list plus one ratio per distinct length; math.log runs once per
-    distinct ratio, as np.log may differ from it in the last bit.
+    distinct ratio, as np.log may differ from it in the last bit
+    (tests/test_retrieval.py::test_scores_use_math_log_bit_for_bit pins this).
     """
+    docs, lengths, length_of = union
     doc_index, term_tf = idx.postings(term)
     at = np.searchsorted(docs, doc_index)
     smoothed = mu * idx.collection_prob(term)

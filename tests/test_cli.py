@@ -170,6 +170,26 @@ def test_eval_bad_methods_exit_2_before_reading_inputs(methods, bad, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tag", ["my tag", "tab\tbed", " lead", "trail\n"])
+def test_expand_tag_with_whitespace_exits_2_before_reading_inputs(tag, tmp_path, capsys):
+    # a tag is the sixth column of a run line; whitespace in it adds columns
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run("expand", "--method", "qlm", "--tag", tag,
+             "--set", f"topics={tmp_path / 'missing'}", "--output-dir", str(out))
+    assert exc.value.code == 2
+    assert f"run tag {tag!r} holds whitespace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_index_docno_with_whitespace_exits_2_naming_it(tmp_path, capsys):
+    corpus = tmp_path / "corpus.sgml"
+    corpus.write_text(Path(CORPUS).read_text().replace("D03", "AP 88"))
+    assert _run("index", "--set", f"corpus={corpus}", "--output-dir", str(tmp_path)) == 2
+    assert f"{corpus}: DOCNO 'AP 88' is empty or holds whitespace" in capsys.readouterr().err
+    assert not (tmp_path / "index.qxix").exists()
+
+
 def test_gradcheck_passes(capsys):
     assert _run("gradcheck") == 0
     out = capsys.readouterr().out

@@ -1,5 +1,9 @@
 """Tokenization, TREC parsing, and index construction/serialization."""
 
+import re
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +79,18 @@ def test_ingest_errors(tmp_path, stopwords):
         ingest_trec_docs(bad, stopwords)
 
 
+@pytest.mark.parametrize("docno, shown", [
+    ("", "''"), ("  ", "''"), (" AP 88 ", "'AP 88'"), ("AP\t88", "'AP\\t88'"),
+    ("AP\n88", "'AP\\n88'")])
+def test_ingest_rejects_docno_that_is_no_run_file_column(tmp_path, stopwords, docno, shown):
+    bad = tmp_path / "bad.sgml"
+    bad.write_text("<DOC><DOCNO>A</DOCNO><TEXT>x</TEXT></DOC>\n"
+                   f"<DOC><DOCNO>{docno}</DOCNO><TEXT>y</TEXT></DOC>")
+    with pytest.raises(ParseError, match=re.escape(
+            f"{bad}: DOCNO {shown} is empty or holds whitespace, in <DOC> at byte offset 42")):
+        ingest_trec_docs(bad, stopwords)
+
+
 def test_index_statistics(mini_index):
     assert mini_index.num_docs == 8
     assert mini_index.total_tokens == EXPECTED_TOTAL_TOKENS
@@ -106,6 +122,25 @@ def test_index_roundtrip(mini_index, tmp_path):
     assert _arrays(loaded) == _arrays(mini_index)
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_index_with_empty_posting_lists_saves_what_it_loads(tmp_path):
+    # terms a, c and e have no postings, so their counts sit beside their neighbours'
+    idx = InvertedIndex(["a", "b", "c", "d", "e"], np.array([0, 0, 2, 2, 3, 3]),
+                        np.array([0, 1, 1], np.uint32), np.array([2, 1, 3], np.uint32),
+                        ["d1", "d2"], np.array([2, 4], np.uint64))
+    p1, p2 = tmp_path / "a.qxix", tmp_path / "b.qxix"
+    idx.save(p1)
+    data = p1.read_bytes()
+    vocab_len = struct.unpack_from("<Q", data, 5)[0]
+    postings_at = 5 + 8 + vocab_len
+    assert data[postings_at:postings_at + 8 + 44] == struct.pack(
+        "<Q11I", 44, 0, 2, 0, 2, 1, 1, 0, 1, 1, 3, 0)
+    loaded = InvertedIndex.load(p1)
+    assert _arrays(loaded) == _arrays(idx)
+    assert loaded.postings("c")[0].tolist() == []
+    loaded.save(p2)
+    assert p2.read_bytes() == data
 
 
 def test_index_load_errors(mini_index, tmp_path):

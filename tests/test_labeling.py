@@ -215,14 +215,26 @@ _TSV_HEADER = '# {"eps": 0.0005, "queries": {"q1": ["a"]}}\n'
     (_TSV_HEADER + "q1\tt1\tgreat\t0.1\n", 2, "unknown label 'great'"),
     (_TSV_HEADER + "q1\tt1\tgood\tlots\n", 2, "ap_delta 'lots' is not a number"),
     (_TSV_HEADER + "q1\tt1\tgood\t-0.2\n", 2, "label good inconsistent with"),
+    (_TSV_HEADER + "q1\tt1\tneutral\tnan\n", 2, "ap_delta 'nan' is outside [-1, 1]"),
+    (_TSV_HEADER + "q1\tt1\tgood\tinf\n", 2, "ap_delta 'inf' is outside [-1, 1]"),
+    (_TSV_HEADER + "q1\tt1\tbad\t-7.5\n", 2, "ap_delta '-7.5' is outside [-1, 1]"),
+    (_TSV_HEADER + "q1\tt1\tgood\t1.0000000000000002\n", 2,
+     "ap_delta '1.0000000000000002' is outside [-1, 1]"),
     (_TSV_HEADER + "q9\tt1\tgood\t0.2\n", 2, "query q9 missing from header"),
     (_TSV_HEADER + "q1\tt1\tgood\t0.2\n\nq1\tt1\tbad\t-0.2\n", 4,
      "duplicate row for query q1 term 't1'"),
 ], ids=["missing-header", "empty-file", "bad-json", "header-not-object", "eps-not-number",
         "eps-negative", "eps-nan", "queries-not-object", "column-count", "unknown-label", "delta-not-number",
-        "label-disagrees", "query-not-in-header", "duplicate-row"])
+        "label-disagrees", "delta-nan", "delta-inf", "delta-below-minus-one",
+        "delta-above-one", "query-not-in-header", "duplicate-row"])
 def test_tsv_validation(tmp_path, text, line, message):
     p = tmp_path / "d.tsv"
     p.write_text(text)
     with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: {message}")):
         LabeledDataset.load_tsv(p)
+
+
+def test_tsv_accepts_ap_delta_of_plus_and_minus_one(tmp_path):
+    p = tmp_path / "d.tsv"
+    p.write_text(_TSV_HEADER + "q1\tt1\tgood\t1.0\nq1\tt2\tbad\t-1.0\n")
+    assert [ex.ap_delta for ex in LabeledDataset.load_tsv(p).examples] == [1.0, -1.0]

@@ -1,14 +1,19 @@
 """Dirichlet QLM scoring and ranking against a brute-force reference."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qexp
 from qexp.collection import Document, InvertedIndex, build_index
-from qexp.retrieval import QueryModel, retrieve, write_run
+from qexp.retrieval import QueryModel, doc_union, retrieve, term_scores, write_run
 
 from oracles import qlm_rank_reference, random_corpus
 
@@ -74,6 +79,40 @@ def test_retrieve_ignores_index_term_without_collection_frequency(tmp_path):
     assert idx.postings("z")[1].tolist() == [0, 0]
     got = retrieve(QueryModel("q", {"a": 1.0, "z": 1.0}), idx, 1000.0, 10)
     assert got.entries == retrieve(QueryModel("q", {"a": 1.0}), idx, 1000.0, 10).entries
+
+
+def test_scores_use_math_log_bit_for_bit():
+    # T = 21 tokens: "x" once in a 12-token document and four times in a 9-token
+    # one (cf 5). At mu 1000 the 12-token document's ratio is one where NumPy's
+    # vectorised log (array, 1-element array and scalar alike) gives
+    # -0x1.715cc68619bc6p+0 on x86-64, one ulp from math.log.
+    idx = build_index([Document("long", ["x", *(f"a{i}" for i in range(11))]),
+                       Document("short", ["x"] * 4 + [f"b{i}" for i in range(5)])])
+    r = (1 + 1000.0 * (5 / 21)) / (12 + 1000.0)
+    assert r == 0.23626011669489927
+    assert math.log(r).hex() == "-0x1.715cc68619bc7p+0"
+    score = dict(retrieve(QueryModel.from_terms("q", ["x"]), idx, 1000.0, 10).entries)
+    assert score["long"].hex() == math.log(r).hex()
+    union = doc_union(idx, ["x"], 1000.0)
+    assert union[0].tolist() == [0, 1]
+    assert term_scores(idx, "x", 1.0, 1000.0, union)[0].hex() == math.log(r).hex()
+
+
+def test_retrieve_does_not_import_numpy_ma():
+    # np.unique without return_inverse imports numpy.ma on first use, 13-19 ms
+    # of every expand and eval process; the doc union is built without it
+    code = ("import sys\n"
+            "from qexp.collection import Document, build_index\n"
+            "from qexp.retrieval import QueryModel, retrieve\n"
+            "idx = build_index([Document('d1', ['a', 'b']), Document('d2', ['b'])])\n"
+            "retrieve(QueryModel.from_terms('q', ['a', 'b']), idx)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(qexp.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_retrieve_candidates_and_order(mini_index):

@@ -207,26 +207,34 @@ def ingest_trec_docs(path, stopwords) -> list[Document]:
     docs = []
     seen = set()
     pos = 0
+
+    def error(message):
+        # the <DOC> at start is the k-th of the decoded text, so the k-th of the
+        # file's bytes: neither decoding nor newline translation alters a tag
+        data, at = Path(path).read_bytes(), -1
+        for _ in range(raw.count("<DOC>", 0, start) + 1):
+            at = data.find(b"<DOC>", at + 1)
+        return ParseError(f"{path}: {message} at byte offset {at}")
+
     while True:
         start = raw.find("<DOC>", pos)
         if start == -1:
             break
         end = raw.find("</DOC>", start)
         if end == -1:
-            raise ParseError(f"{path}: unclosed <DOC> at byte offset {start}")
+            raise error("unclosed <DOC>")
         block = raw[start + len("<DOC>"):end]
         if "<DOC>" in block:
-            raise ParseError(f"{path}: nested <DOC> inside block at byte offset {start}")
+            raise error("nested <DOC> inside block")
         m = re.search(r"<DOCNO>\s*(.*?)\s*</DOCNO>", block, re.DOTALL)
         if m is None:
-            raise ParseError(f"{path}: missing <DOCNO> in <DOC> at byte offset {start}")
+            raise error("missing <DOCNO> in <DOC>")
         doc_id = m.group(1).strip()
         if not doc_id or any(c.isspace() for c in doc_id):
             # a run file line is six whitespace-separated columns, the doc id one of them
-            raise ParseError(f"{path}: DOCNO {doc_id!r} is empty or holds whitespace, "
-                             f"in <DOC> at byte offset {start}")
+            raise error(f"DOCNO {doc_id!r} is empty or holds whitespace, in <DOC>")
         if doc_id in seen:
-            raise ParseError(f"{path}: duplicate DOCNO {doc_id!r} at byte offset {start}")
+            raise error(f"duplicate DOCNO {doc_id!r}")
         seen.add(doc_id)
         texts = re.findall(r"<TEXT>(.*?)</TEXT>", block, re.DOTALL)
         body = _TAG_RE.sub(" ", " ".join(texts))

@@ -64,53 +64,76 @@ def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
     A first line of exactly two integers N D is a word2vec header: the file
     must then hold N rows of D components. Without it the dimension is
     inferred from the first line and every later line must match it. With
-    restrict_to, only listed terms are kept (memory control). Every malformed
-    input raises ParseError.
+    restrict_to, only listed terms are kept (memory control). Components are
+    ASCII decimal floats, all parsed by one np.loadtxt. Every malformed input
+    raises ParseError naming the first bad line.
     """
     keep = None if restrict_to is None else set(restrict_to)
     terms = []
-    seen = set()
-    rows = []
-    dim = None
-    header = None  # (line number, declared row count)
-    count = 0
-    for lineno, line in text_lines(path):
-        parts = line.rstrip("\n").split()
-        if not parts:
-            continue
-        if dim is None and len(parts) == 2 and all(p.isdecimal() for p in parts):
-            header = (lineno, int(parts[0]))
-            dim = int(parts[1])
-            continue
-        term, values = parts[0], parts[1:]
-        if dim is None:
-            dim = len(values)
-            if dim == 0:
-                raise ParseError(f"{path}:{lineno}: no vector components")
-        elif len(values) != dim:
+    dim = header = last = None  # header: (line number, declared row count)
+
+    def check_dimension(lineno, rest):
+        n = len(rest.split())
+        if n != dim:
             source = "header" if header else "first line"
             raise ParseError(
-                f"{path}:{lineno}: dimension {len(values)} != {dim} from {source}")
-        count += 1
-        if keep is not None and term not in keep:
-            continue
-        if term in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate term {term!r}")
-        seen.add(term)
-        try:
-            rows.append(np.array([float(v) for v in values], dtype=np.float64))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric vector component") from None
-        terms.append(term)
-    if count == 0:
-        raise ParseError(f"{path}: empty embedding file")
-    if header and count != header[1]:
-        raise ParseError(
-            f"{path}:{header[0]}: header declares {header[1]} rows, file holds {count}")
-    if not terms:
-        raise ParseError(f"{path}: no terms survived the vocabulary restriction")
+                f"{path}:{lineno}: dimension {n} != {dim} from {source}") from None
+
+    def kept_rows():
+        # each line is split once into term and rest; a kept rest goes to
+        # loadtxt unsplit, which checks its column count against the first row
+        nonlocal dim, header, last
+        seen = set()
+        count = 0
+        for lineno, line in text_lines(path):
+            head = line.split(None, 1)
+            if not head:
+                continue
+            if dim is None:
+                parts = line.split()
+                if len(parts) == 2 and all(p.isdecimal() for p in parts):
+                    header, dim = (lineno, int(parts[0])), int(parts[1])
+                else:
+                    dim = len(parts) - 1
+                if dim == 0:
+                    raise ParseError(f"{path}:{lineno}: no vector components")
+                if header:
+                    continue
+            term, rest = head[0], head[1] if len(head) == 2 else ""
+            kept = keep is None or term in keep
+            # loadtxt never sees a dropped line, skips an empty rest, takes its
+            # column count from the first row, and a repeat stops before it
+            if not (kept and rest and terms) or term in seen:
+                check_dimension(lineno, rest)
+            count += 1
+            if not kept:
+                continue
+            if term in seen:
+                raise ParseError(f"{path}:{lineno}: duplicate term {term!r}")
+            seen.add(term)
+            terms.append(term)
+            last = lineno, rest
+            yield rest
+        # raised before loadtxt sees the end, so it never warns of no data
+        if count == 0:
+            raise ParseError(f"{path}: empty embedding file")
+        if header and count != header[1]:
+            raise ParseError(
+                f"{path}:{header[0]}: header declares {header[1]} rows, file holds {count}")
+        if not terms:
+            raise ParseError(f"{path}: no terms survived the vocabulary restriction")
+
     try:
-        return EmbeddingTable(terms, np.vstack(rows))
+        # comments=None: a "#" is part of a component, and so non-numeric
+        matrix = np.loadtxt(kept_rows(), dtype=np.float64, ndmin=2, comments=None)
+    except ParseError:
+        raise
+    except ValueError:
+        # loadtxt parses each row before it pulls the next: the bad one is the last out
+        check_dimension(*last)
+        raise ParseError(f"{path}:{last[0]}: non-numeric vector component") from None
+    try:
+        return EmbeddingTable(terms, matrix)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

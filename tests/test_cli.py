@@ -190,6 +190,18 @@ def test_index_docno_with_whitespace_exits_2_naming_it(tmp_path, capsys):
     assert not (tmp_path / "index.qxix").exists()
 
 
+@pytest.mark.parametrize("component", ["1_0", "١"])
+def test_embedding_component_that_is_no_ascii_decimal_exits_2(component, ws, tmp_path,
+                                                               capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"solar 1 0\nenergy {component} 1\n", encoding="utf-8")
+    assert _run("label", "--set", f"index={ws / 'index.qxix'}", "--set", f"topics={TOPICS}",
+                "--set", f"qrels={QRELS}", "--embeddings", str(vectors),
+                "--output-dir", str(tmp_path)) == 2
+    assert f"{vectors}:2: non-numeric vector component" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.tsv").exists()
+
+
 def test_gradcheck_passes(capsys):
     assert _run("gradcheck") == 0
     out = capsys.readouterr().out

@@ -91,6 +91,33 @@ def test_ingest_rejects_docno_that_is_no_run_file_column(tmp_path, stopwords, do
         ingest_trec_docs(bad, stopwords)
 
 
+def test_ingest_error_offset_counts_bytes_not_characters(tmp_path, stopwords):
+    bad = tmp_path / "bad.sgml"
+    bad.write_text("<DOC><DOCNO>Ä</DOCNO><TEXT>ÖÖÖÖ</TEXT></DOC>\n"
+                   "<DOC><DOCNO>Ä</DOCNO><TEXT>y</TEXT></DOC>", encoding="utf-8")
+    # 45 characters, but Ä and each Ö take two bytes
+    with pytest.raises(ParseError, match=re.escape(
+            f"{bad}: duplicate DOCNO 'Ä' at byte offset 50")):
+        ingest_trec_docs(bad, stopwords)
+
+
+@pytest.mark.parametrize("second, message", [
+    ("<DOC><DOCNO>B</DOCNO>", "unclosed <DOC>"),
+    ("<DOC><DOCNO>B</DOCNO><DOC></DOC>", "nested <DOC> inside block"),
+    ("<DOC><TEXT>x</TEXT></DOC>", "missing <DOCNO> in <DOC>"),
+    ("<DOC><DOCNO></DOCNO></DOC>", "DOCNO '' is empty or holds whitespace, in <DOC>"),
+    ("<DOC><DOCNO>Ä</DOCNO></DOC>", "duplicate DOCNO 'Ä'"),
+])
+def test_every_ingest_error_names_the_byte_offset(tmp_path, stopwords, second, message):
+    bad = tmp_path / "bad.sgml"
+    # CRLF lines: reading the text turns each into one character
+    bad.write_bytes(f"<DOC><DOCNO>Ä</DOCNO>\r\n<TEXT>ÖÖÖÖ</TEXT></DOC>\r\n{second}"
+                    .encode("utf-8"))
+    assert bad.read_bytes()[53:58] == b"<DOC>"
+    with pytest.raises(ParseError, match=re.escape(f"{bad}: {message} at byte offset 53")):
+        ingest_trec_docs(bad, stopwords)
+
+
 def test_index_statistics(mini_index):
     assert mini_index.num_docs == 8
     assert mini_index.total_tokens == EXPECTED_TOTAL_TOKENS

@@ -1,12 +1,14 @@
 """Embedding loading, cosine, centroid, and neighbor search."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qexp.collection import ParseError
 from qexp.embeddings import EmbeddingTable, centroid, load_embeddings, top_k_neighbors
+import reference_embeddings
 from reference_pool import cosine
 
 
@@ -78,6 +80,50 @@ def test_load_word2vec_header(tmp_path):
         load_embeddings(p)
     p.write_text("1 3\na 1 2 3\nb 4 5 6\n")
     with pytest.raises(ParseError, match=r"v\.txt:1: header declares 1 rows, file holds 2"):
+        load_embeddings(p)
+
+
+@pytest.mark.parametrize("text, restrict, message", [
+    # a dropped line of the wrong dimension before a kept non-numeric line
+    ("a 1 0\nz 1 2 3\nb 1 x\n", {"a", "b"}, "2: dimension 3 != 2 from first line"),
+    # and the reverse
+    ("a 1 0\nb 1 x\nz 1 2 3\n", {"a", "b"}, "2: non-numeric vector component"),
+    # the first kept row disagrees with the header, after a dropped row
+    ("2 3\nz 1 2 3\na 1 2\n", {"a"}, "3: dimension 2 != 3 from header"),
+    ("2 3\na 1 2\nb 1 2 3\n", None, "2: dimension 2 != 3 from header"),
+    # a bad row after the first kept one
+    ("a 1 0\nb 0 1\nc 1 0 5\n", None, "3: dimension 3 != 2 from first line"),
+    ("a 1 0\nb 0 1\nc 1\nd x\n", None, "3: dimension 1 != 2 from first line"),
+    ("a 1 0\nb 0 1\nc\n", None, "3: dimension 0 != 2 from first line"),
+    ("a 1 0\nb 0 1\nc 1 x\nd 1\n", None, "3: non-numeric vector component"),
+    ("a 1 0\nb 0 1\nc 1 x 2\n", None, "3: dimension 3 != 2 from first line"),
+    # a repeated term of the wrong dimension is named for its dimension
+    ("a 1 0\nb 0 1\na 1\n", None, "3: dimension 1 != 2 from first line"),
+    ("a 1 0\nb 0 1\nb 1 2\n", None, "3: duplicate term 'b'"),
+])
+def test_first_bad_line_in_file_order_is_named(tmp_path, text, restrict, message):
+    p = tmp_path / "v.txt"
+    p.write_text(text)
+    for reader in (load_embeddings, reference_embeddings.load_embeddings):
+        with pytest.raises(ParseError) as info:
+            reader(p, restrict_to=restrict)
+        assert str(info.value) == f"{p}:{message}"
+
+
+@pytest.mark.parametrize("component", ["1_0", "١", "１"])
+def test_components_are_ascii_decimal_floats(tmp_path, component):
+    p = tmp_path / "v.txt"
+    p.write_text(f"a 1 0\nb {component} 1\n", encoding="utf-8")
+    # float() takes these; the reader does not
+    assert reference_embeddings.load_embeddings(p).vector("b")[0] in (1.0, 10.0)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(p))}:2: non-numeric vector component$"):
+        load_embeddings(p)
+
+
+def test_header_of_dimension_zero_is_named(tmp_path):
+    p = tmp_path / "v.txt"
+    p.write_text("2 0\na\nb\n")
+    with pytest.raises(ParseError, match=r"v\.txt:1: no vector components"):
         load_embeddings(p)
 
 

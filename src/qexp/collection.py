@@ -20,17 +20,21 @@ import logging
 import os
 import re
 import struct
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, count, filterfalse
 from pathlib import Path
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# every byte but [a-z0-9] becomes a space, so split() yields the [a-z0-9]+ runs
+_TOKEN_TABLE = re.sub(rb"[^a-z0-9]", b" ", bytes(range(256)))
 _TAG_RE = re.compile(r"<[^>]*>")
+_DOCNO_RE = re.compile(r"<DOCNO>\s*(.*?)\s*</DOCNO>", re.DOTALL)
+_TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 
 INDEX_MAGIC = b"QXIX"
 INDEX_VERSION = 1
@@ -123,7 +127,7 @@ class InvertedIndex:
         self.tf = tf
         self.doc_ids = doc_ids
         self.doc_len = doc_len
-        self._row = {term: i for i, term in enumerate(terms)}
+        self._row = dict(zip(terms, range(len(terms))))
         cum = np.concatenate((np.zeros(1, np.uint64), np.cumsum(tf, dtype=np.uint64)))
         self.collection_freq = cum[offsets[1:]] - cum[offsets[:-1]]
         self.total_tokens = int(doc_len.sum())
@@ -171,7 +175,7 @@ class InvertedIndex:
         """Read an index file; any malformed or inconsistent file raises ParseError."""
         try:
             return _parse_index(Path(path).read_bytes(), str(path))
-        except (struct.error, UnicodeDecodeError) as exc:
+        except (struct.error, IndexError, UnicodeDecodeError) as exc:
             # a section shorter than its counts, or a name that is not UTF-8
             raise ParseError(f"{path}: malformed index section ({exc})") from None
 
@@ -186,11 +190,13 @@ def load_stopwords(path=None) -> frozenset:
 
 
 def tokenize(text: str, stopwords) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, drop stopwords.
+    """Lowercase, keep the runs of ASCII [a-z0-9], drop stopwords.
 
-    No stemming is applied; pure-number tokens are kept.
+    Any other character after lowercasing separates tokens ("café" gives
+    "caf"). No stemming is applied; pure-number tokens are kept.
     """
-    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in stopwords]
+    words = text.lower().encode("ascii", "replace").translate(_TOKEN_TABLE)
+    return list(filterfalse(stopwords.__contains__, words.decode("ascii").split()))
 
 
 def ingest_trec_docs(path, stopwords) -> list[Document]:
@@ -226,17 +232,17 @@ def ingest_trec_docs(path, stopwords) -> list[Document]:
         block = raw[start + len("<DOC>"):end]
         if "<DOC>" in block:
             raise error("nested <DOC> inside block")
-        m = re.search(r"<DOCNO>\s*(.*?)\s*</DOCNO>", block, re.DOTALL)
+        m = _DOCNO_RE.search(block)
         if m is None:
             raise error("missing <DOCNO> in <DOC>")
         doc_id = m.group(1).strip()
-        if not doc_id or any(c.isspace() for c in doc_id):
+        if doc_id.split() != [doc_id]:
             # a run file line is six whitespace-separated columns, the doc id one of them
             raise error(f"DOCNO {doc_id!r} is empty or holds whitespace, in <DOC>")
         if doc_id in seen:
             raise error(f"duplicate DOCNO {doc_id!r}")
         seen.add(doc_id)
-        texts = re.findall(r"<TEXT>(.*?)</TEXT>", block, re.DOTALL)
+        texts = _TEXT_RE.findall(block)
         body = _TAG_RE.sub(" ", " ".join(texts))
         docs.append(Document(doc_id, tokenize(body, stopwords)))
         pos = end + len("</DOC>")
@@ -244,20 +250,30 @@ def ingest_trec_docs(path, stopwords) -> list[Document]:
 
 
 def build_index(docs: list[Document]) -> InvertedIndex:
-    """Build the inverted index; postings are stored in sorted term order."""
+    """Build the inverted index; postings are stored in sorted term order. One stable
+    sort of the tokens' vocabulary ranks makes each (term, doc) run a posting of its tf."""
     doc_ids = [doc.doc_id for doc in docs]
     if len(set(doc_ids)) < len(doc_ids):
         raise ValueError(f"duplicate doc_id {Counter(doc_ids).most_common(1)[0][0]!r}")
-    accum: dict[str, list[int]] = {}
-    for i, doc in enumerate(docs):
-        for term, tf in Counter(doc.terms).items():
-            accum.setdefault(term, []).extend((i, tf))
-    terms = sorted(accum)
-    offsets = np.concatenate(([0], np.cumsum([len(accum[t]) // 2 for t in terms],
-                                             dtype=np.int64)))
-    pairs = np.array([x for t in terms for x in accum[t]], np.uint32).reshape(-1, 2)
-    return InvertedIndex(terms, offsets, pairs[:, 0], pairs[:, 1], doc_ids,
-                         np.array([doc.length for doc in docs], np.uint64))
+    lengths = np.fromiter(map(len, (doc.terms for doc in docs)), np.int64, len(docs))
+    first = defaultdict(count().__next__)  # a term's id is its order of first use
+    ids = np.fromiter(map(first.__getitem__, chain.from_iterable(doc.terms for doc in docs)),
+                      np.uint32, int(lengths.sum()))
+    terms = sorted(first)
+    # a term's sorted rank, in the narrowest type: NumPy radix-sorts 8- and 16-bit keys
+    rank = np.argsort(np.fromiter(map(first.__getitem__, terms), np.int64, len(terms)))
+    ids = rank.astype(np.min_scalar_type(len(terms)))[ids]
+    order = np.argsort(ids, kind="stable")
+    ids, doc_of = ids[order], np.repeat(np.arange(len(docs), dtype=np.uint32), lengths)[order]
+    del order  # 8 bytes a token, freed before the postings are built
+    head = np.ones(len(ids), bool)
+    head[1:] = (ids[1:] != ids[:-1]) | (doc_of[1:] != doc_of[:-1])
+    starts = np.flatnonzero(head)
+    offsets = np.concatenate(([0], np.cumsum(
+        np.bincount(ids[starts], minlength=len(terms)), dtype=np.int64)))
+    tf = np.diff(starts, append=len(ids)).astype(np.uint32)
+    return InvertedIndex(terms, offsets, doc_of[starts], tf, doc_ids,
+                         lengths.astype(np.uint64))
 
 
 def load_topics(path, stopwords) -> list[Topic]:
@@ -319,15 +335,17 @@ def _pack_strings(names, values) -> bytes:
     return bytes(out)
 
 
-def _unpack_strings(raw: bytes, name: str, what: str) -> tuple[list[str], list[int]]:
+def _unpack_strings(raw: bytes, name: str, what: str) -> tuple[list[str], np.ndarray]:
     (count,) = struct.unpack_from("<I", raw, 0)
-    names, values, off = [], [], 4
+    names, value_at, off = [], [], 4
     for _ in range(count):
-        (size,) = struct.unpack_from("<H", raw, off)
+        size = raw[off] | raw[off + 1] << 8
         names.append(raw[off + 2:off + 2 + size].decode("utf-8"))
-        (value,) = struct.unpack_from("<Q", raw, off + 2 + size)
-        values.append(value)
         off += 10 + size
+        value_at.append(off - 8)
+    # one gather of every u64 value; an IndexError when the last entry is cut short
+    at = np.array(value_at, np.int64)[:, None] + np.arange(8)
+    values = np.frombuffer(raw, np.uint8)[at].view("<u8").ravel()
     if off != len(raw):
         raise ParseError(f"{name}: {len(raw) - off} bytes left over in the {what} section")
     if len(set(names)) < len(names):
@@ -361,10 +379,10 @@ def _parse_index(data: bytes, name: str) -> InvertedIndex:
 
     # each posting list is a u32 count followed by that many (doc index, tf) pairs
     postings_raw, counts, word = sections[1], [], 0
+    words = np.frombuffer(postings_raw, "<u4", len(postings_raw) // 4)
     for _ in terms:
-        (count,) = struct.unpack_from("<I", postings_raw, 4 * word)
-        counts.append(count)
-        word += 1 + 2 * count
+        counts.append(words.item(word))
+        word += 1 + 2 * counts[-1]
     if 4 * word != len(postings_raw):
         raise ParseError(f"{name}: postings section holds {len(postings_raw)} bytes, "
                          f"its counts imply {4 * word}")
@@ -380,9 +398,8 @@ def _parse_index(data: bytes, name: str) -> InvertedIndex:
         term = terms[np.searchsorted(offsets, np.argmax(step <= 0), "right") - 1]
         raise ParseError(f"{name}: doc indexes of term {term!r} are not strictly ascending")
 
-    idx = InvertedIndex(terms, offsets, doc_index, pairs[:, 1], doc_ids,
-                        np.array(doc_len, np.uint64))
-    wrong = np.flatnonzero(idx.collection_freq != np.array(freqs, np.uint64))
+    idx = InvertedIndex(terms, offsets, doc_index, pairs[:, 1], doc_ids, doc_len)
+    wrong = np.flatnonzero(idx.collection_freq != freqs)
     if len(wrong):
         raise ParseError(f"{name}: posting frequencies disagree with stored "
                          f"collection frequency for term {terms[wrong[0]]!r}")

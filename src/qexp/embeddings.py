@@ -13,6 +13,7 @@ log = logging.getLogger(__name__)
 # top_k_neighbors first sorts only the rows at or above the (_HEAD_FACTOR * k)-th
 # highest cosine; the spare rows cover terms that its within filter rejects
 _HEAD_FACTOR = 2
+_NORMAL_NORM = math.sqrt(np.finfo(np.float64).smallest_normal)  # its square is normal
 
 
 class EmbeddingTable:
@@ -35,10 +36,14 @@ class EmbeddingTable:
         self._row = {t: i for i, t in enumerate(self.terms)}
         # each term's position in Python string order, the neighbour tie rule
         self._term_rank = np.array(self.terms, dtype=object).argsort(kind="stable").argsort()
-        norms = np.linalg.norm(self.matrix, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        self._unit = self.matrix / safe[:, None]
-        self._zero_rows = norms == 0.0
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.matrix, axis=1)
+        self._unit = self.matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
+        self._zero_rows = ~self.matrix.any(axis=1)
+        # a sum of squares that overflowed or is subnormal: scale the row by its max-abs
+        redo = ~self._zero_rows & (np.isinf(norms) | (norms < _NORMAL_NORM))
+        scaled = self.matrix[redo] / np.abs(self.matrix[redo]).max(axis=1, keepdims=True)
+        self._unit[redo] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
 
     def __contains__(self, term: str) -> bool:
         return term in self._row

@@ -227,6 +227,27 @@ def test_top_k_skips_zero_rows():
     assert [t for t, _ in got] == ["b", "a"]
 
 
+@pytest.mark.parametrize("size", [1e200, 1.7e308, 1e-160, 1e-200, 5e-324])
+def test_rows_whose_squares_leave_the_float_range_keep_their_direction(size):
+    # the sum of squares overflows past ~1.3e154 and loses bits below ~1.5e-154
+    table = EmbeddingTable(["a", "b", "c"], np.array([[size, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert table.has_direction("a") and table.has_direction("b")
+    assert top_k_neighbors(table.vector("b"), 2, table, exclude={"b"}) == [
+        ("a", 1.0), ("c", 0.0)]
+    assert table._unit[0].tolist() == [1.0, 0.0]
+
+
+def test_rows_in_the_float_range_keep_their_bits():
+    rng = np.random.default_rng(5)
+    matrix = rng.standard_normal((50, 7)) * 10.0 ** rng.integers(-150, 150, (50, 1))
+    matrix[3] = [1e200, -1e200, 0, 0, 0, 0, 0]
+    table = EmbeddingTable([f"t{i}" for i in range(50)], matrix)
+    norms = np.linalg.norm(np.delete(matrix, 3, axis=0), axis=1)
+    assert np.delete(table._unit, 3, axis=0).tobytes() == (
+        np.delete(matrix, 3, axis=0) / norms[:, None]).tobytes()
+    assert table._unit[3].tolist() == [1 / math.sqrt(2), -1 / math.sqrt(2), 0, 0, 0, 0, 0]
+
+
 def test_top_k_validation(tiny_table):
     with pytest.raises(ValueError, match="k must be"):
         top_k_neighbors(np.ones(3), 0, tiny_table)

@@ -66,10 +66,8 @@ def build_reference_set(dataset: LabeledDataset, table: EmbeddingTable,
 def encode_reference_set(model: SiameseModel, refset: ReferenceSet,
                          table: EmbeddingTable) -> np.ndarray:
     """Representations of all reference items, reusable across candidates."""
-    return np.stack([
-        model.encode(example_sequence(table, q_terms, cand))
-        for q_terms, cand, _ in refset.items
-    ])
+    return model.encode_batch([example_sequence(table, q_terms, cand)
+                               for q_terms, cand, _ in refset.items])
 
 
 def p_good_from_outcomes(same_flags, labels) -> float:
@@ -87,6 +85,14 @@ def p_good_from_outcomes(same_flags, labels) -> float:
     return (n_g + n_nb) / len(labels)
 
 
+def _judge(model, reps, ref_reps, labels) -> list[float]:
+    """P(good) of candidate reps (m, r) against ref_reps (N, r), in one compare_probs."""
+    m, n = len(reps), len(ref_reps)
+    same = judged_same(model.compare_probs(np.repeat(reps, n, axis=0),
+                                           np.tile(ref_reps, (m, 1))))
+    return [p_good_from_outcomes(row, labels) for row in same.reshape(m, n)]
+
+
 def p_good(query_terms, candidate: str, model: SiameseModel, refset: ReferenceSet,
            table: EmbeddingTable, ref_reps: np.ndarray | None = None) -> float:
     """Probability the candidate is a good expansion term for the query.
@@ -94,13 +100,22 @@ def p_good(query_terms, candidate: str, model: SiameseModel, refset: ReferenceSe
     The (query, candidate) input is compared against every reference item;
     each comparison is thresholded at 0.5 into same/different. Candidates
     outside the embedding vocabulary get probability 0. Without ref_reps the
-    reference set is encoded on this call.
+    reference items are encoded on this call, one encode call each.
     """
     if candidate not in table:
         return 0.0
     rep = model.encode(example_sequence(table, query_terms, candidate))
     if ref_reps is None:
+        ref_reps = np.stack([model.encode(example_sequence(table, q_terms, cand))
+                             for q_terms, cand, _ in refset.items])
+    return _judge(model, rep[None], ref_reps, refset.labels())[0]
+
+
+def p_good_batch(query_terms, candidates, model: SiameseModel, refset: ReferenceSet,
+                 table: EmbeddingTable, ref_reps: np.ndarray | None = None) -> list[float]:
+    """p_good of each candidate (all in the table) for one query, the candidates
+    encoded in one encode_batch call; without ref_reps the reference set is too."""
+    if ref_reps is None:
         ref_reps = encode_reference_set(model, refset, table)
-    tiled = np.tile(rep, (len(refset), 1))
-    same_flags = judged_same(model.compare_probs(tiled, ref_reps))
-    return p_good_from_outcomes(same_flags, refset.labels())
+    reps = model.encode_batch([example_sequence(table, query_terms, c) for c in candidates])
+    return _judge(model, reps, ref_reps, refset.labels())

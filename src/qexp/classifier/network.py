@@ -196,12 +196,22 @@ class SiameseModel:
 
     def encode(self, sequence) -> np.ndarray:
         """Encode one sequence (T, d) into its representation (r,)."""
-        seq = np.asarray(sequence, dtype=np.float64)
-        if seq.ndim != 2 or seq.shape[0] < 1:
-            raise ValueError("sequence must be a non-empty (T, d) array")
-        if seq.shape[1] != self.dim:
-            raise ValueError(f"sequence dim {seq.shape[1]} != model dim {self.dim}")
-        return self._encode_batch_cached(seq[None])[0][0]
+        return self.encode_batch([sequence])[0]
+
+    def encode_batch(self, sequences) -> np.ndarray:
+        """Encode sequences (T_i, d) into representations (n, r), in input order.
+        Equal lengths run as one batch; from two rows up it runs matrix-matrix
+        products where encode runs matrix-vector ones, moving the last bits."""
+        seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
+        for seq in seqs:
+            if seq.ndim != 2 or seq.shape[0] < 1:
+                raise ValueError("sequence must be a non-empty (T, d) array")
+            if seq.shape[1] != self.dim:
+                raise ValueError(f"sequence dim {seq.shape[1]} != model dim {self.dim}")
+        reps = np.empty((len(seqs), self.rep))
+        for idxs, stacked in _length_groups(seqs):
+            reps[idxs] = self._encode_batch_cached(stacked)[0]
+        return reps
 
     # --- comparison head ---
 

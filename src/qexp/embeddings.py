@@ -174,9 +174,13 @@ def top_k_neighbors(v: np.ndarray, k: int, table: EmbeddingTable,
     """
     check("k", k, "pool_size")
     v = np.asarray(v, dtype=np.float64)
-    nv = math.sqrt(float(np.dot(v, v)))
-    if nv == 0.0:
+    if not v.any():
         raise ValueError("cannot search neighbors of a zero vector")
+    with np.errstate(over="ignore"):
+        nv = math.sqrt(float(np.dot(v, v)))
+    if math.isinf(nv) or nv < _NORMAL_NORM:  # the table's rule for its rows
+        v = v / np.abs(v).max()
+        nv = math.sqrt(float(np.dot(v, v)))
     sims = table._unit @ (v / nv)
     np.clip(sims, -1.0, 1.0, out=sims)
     keep = ~table._zero_rows

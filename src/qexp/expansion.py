@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qexp.classifier.inference import ReferenceSet, encode_reference_set, p_good
+from qexp.classifier.inference import ReferenceSet, p_good_batch
 from qexp.classifier.network import SiameseModel
 from qexp.collection import InvertedIndex, Topic
 from qexp.config import Config, check
@@ -79,19 +79,21 @@ def _multiplicative_selection(topic: Topic, pool, table: EmbeddingTable,
     score(x) = prod over query terms w of softmax-normalized exp(cos(x, w)),
     the normalization running over the candidate pool for each query term.
     A query term with a zero vector has no direction and is skipped. Each
-    vector's norm is taken once; each cosine is then one dot product, clipped
-    to [-1, 1].
+    cosine is one dot product over the norms' product, clipped to [-1, 1]
+    as Python's min and max do (a NaN from an overflowed norm clips to -1).
+    The stacked matmul takes one dot per row, each np.dot's value bit for bit.
     """
     pool_terms = [t for t, _ in pool]
-    vectors = [table.vector(t) for t in pool_terms]
-    norms = [math.sqrt(float(np.dot(a, a))) for a in vectors]
+    rows = np.array([table.vector(t) for t in pool_terms]).reshape(len(pool), table.dim)
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
     query_terms = [t for t in topic.title_terms if table.has_direction(t)]
     scores = [1.0] * len(pool_terms)
     for w in query_terms:
         wv = table.vector(w)
         nw = math.sqrt(float(np.dot(wv, wv)))
-        sims = [math.exp(min(1.0, max(-1.0, float(np.dot(a, wv)) / (na * nw))))
-                for a, na in zip(vectors, norms)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cosines = np.matmul(rows[:, None, :], wv).ravel() / (norms * nw)
+        sims = [math.exp(min(1.0, max(-1.0, c))) for c in cosines.tolist()]
         denom = sum(sims)
         scores = [score * (s / denom) for score, s in zip(scores, sims)]
     ranked = sorted(zip(pool_terms, scores), key=lambda e: (-e[1], e[0]))
@@ -123,11 +125,11 @@ def build_query_model(method: str, topic: Topic, pool, table: EmbeddingTable,
         selection = _multiplicative_selection(topic, pool, table, cfg.m)
     elif method == "dec":
         selection = _centroid_selection(topic, pool, cfg.m)
-        if selection and ref_reps is None:
-            ref_reps = encode_reference_set(model, refset, table)
-        for i, (term, sim) in enumerate(selection):
-            prob = p_good(topic.title_terms, term, model, refset, table, ref_reps)
-            selection[i] = (term, (1.0 + cfg.alpha * prob) * sim)
+        if selection:
+            probs = p_good_batch(topic.title_terms, [t for t, _ in selection], model,
+                                 refset, table, ref_reps)
+            selection = [(term, (1.0 + cfg.alpha * prob) * sim)
+                         for (term, sim), prob in zip(selection, probs)]
     else:
         raise ValueError(f"unknown method {method!r}")
     if not selection:

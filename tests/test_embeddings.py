@@ -235,6 +235,9 @@ def test_rows_whose_squares_leave_the_float_range_keep_their_direction(size):
     assert top_k_neighbors(table.vector("b"), 2, table, exclude={"b"}) == [
         ("a", 1.0), ("c", 0.0)]
     assert table._unit[0].tolist() == [1.0, 0.0]
+    # and as the query: scaled by its max-abs component, as the table scales it
+    assert top_k_neighbors(table.vector("a"), 2, table, exclude={"a"}) == [
+        ("b", 1.0), ("c", 0.0)]
 
 
 def test_rows_in_the_float_range_keep_their_bits():

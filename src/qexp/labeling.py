@@ -100,7 +100,7 @@ class LabeledDataset:
             raise ParseError(f"{path}:1: missing metadata header line")
         try:
             meta = json.loads(header[1:])
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # a decode error, or too deeply nested
             raise ParseError(f"{path}:1: bad JSON in metadata header ({exc})") from None
         if not isinstance(meta, dict):
             raise ParseError(f"{path}:1: metadata header is not a JSON object")
@@ -109,9 +109,13 @@ class LabeledDataset:
         if type(eps) not in (int, float):
             raise ParseError(f"{path}:1: eps {eps!r} is not a number")
         check(f"{path}:1: eps", eps, "eps", ParseError)
-        if not isinstance(queries, dict) or not all(
-                isinstance(terms, list) for terms in queries.values()):
+        if not isinstance(queries, dict):
             raise ParseError(f"{path}:1: queries must map query ids to term lists")
+        for qid, terms in queries.items():
+            if not (isinstance(terms, list) and terms
+                    and all(isinstance(t, str) and t for t in terms)):
+                raise ParseError(f"{path}:1: query {qid} needs a non-empty list of "
+                                 f"non-empty term strings")
         examples = []
         seen = set()
         for lineno, line in lines:
@@ -122,6 +126,8 @@ class LabeledDataset:
             if len(parts) != 4:
                 raise ParseError(f"{where}: expected 4 columns, got {len(parts)}")
             qid, term, label_s, delta_s = parts
+            if not term:
+                raise ParseError(f"{where}: empty candidate term")
             try:
                 label = Label(label_s)
             except ValueError:

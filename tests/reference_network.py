@@ -1,16 +1,19 @@
-"""The allocating training step, kept as the bit-exact reference.
+"""The allocating training step, kept as the reference.
 
 `qexp.classifier.network` and `qexp.classifier.training` compute the same
-arithmetic with reused buffers, one `exp` per sigmoid and no matmuls against
-the zero state at t = 0. Everything here is the straightforward version
-those must match bit for bit: the boolean-mask sigmoid, one LSTM direction
-forward and backward with a fresh array for every intermediate, fresh
-gradient tensors per batch, and Adam rebuilding its moments every step.
+arithmetic in a reused step workspace, with one `exp` per sigmoid, no
+matmuls against the zero state at t = 0, and one product per gradient tensor
+over all steps of a length group. Everything here is the straightforward
+version: the boolean-mask sigmoid, one LSTM direction forward and backward
+with a fresh array for every intermediate and one gradient product per step,
+fresh gradient tensors per batch, and Adam rebuilding its moments every
+step. The forward pass must match it bit for bit; the gradients within a
+tolerance, since a product over all steps sums in another order.
 """
 
 import numpy as np
 
-from qexp.classifier.network import SiameseModel
+from qexp.classifier.network import DIFF_CLASS, SAME_CLASS, SiameseModel
 
 
 def sigmoid(z):
@@ -22,16 +25,33 @@ def sigmoid(z):
     return out
 
 
-class ReferenceModel(SiameseModel):
-    """A `SiameseModel` whose LSTM, gradient buffers and products are the allocating originals."""
+def softmax(a):
+    shifted = a - np.max(a, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
-    def zero_grads(self) -> dict:
-        return {name: np.zeros_like(p) for name, p in self.params.items()}
 
-    def _add_product(self, grad, a, b):
-        grad += a @ b
+def length_groups(seqs):
+    """Yields (original indexes, stacked (B, T, d)) per length, shortest first."""
+    by_len = {}
+    for i, s in enumerate(seqs):
+        by_len.setdefault(s.shape[0], []).append(i)
+    for length in sorted(by_len):
+        idxs = np.array(by_len[length])
+        yield idxs, np.stack([seqs[i] for i in idxs])
 
-    def _lstm_forward(self, x, direction):
+
+class ReferenceModel:
+    """The parameters of a `SiameseModel` built with the same arguments, and
+    the allocating per-step arithmetic over them."""
+
+    def __init__(self, dim, hidden, rep, rng, pooling="last"):
+        self.params = SiameseModel(dim, hidden, rep, rng, pooling).params
+        self.hidden = hidden
+        self.rep = rep
+        self.pooling = pooling
+
+    def lstm_forward(self, x, direction):
         W = self.params[f"{direction}.W"]
         U = self.params[f"{direction}.U"]
         b = self.params[f"{direction}.b"]
@@ -55,7 +75,7 @@ class ReferenceModel(SiameseModel):
             states[:, t] = h_new
         return states, (x, steps)
 
-    def _lstm_backward(self, d_states, cache, direction, grads):
+    def lstm_backward(self, d_states, cache, direction, grads):
         x, steps = cache
         U = self.params[f"{direction}.U"]
         B, T, _ = x.shape
@@ -84,6 +104,65 @@ class ReferenceModel(SiameseModel):
             dU += h_prev.T @ dz
             db += dz.sum(axis=0)
             dh_next = dz @ U.T
+
+    def encode_group(self, x):
+        fwd_states, fwd_cache = self.lstm_forward(x, "fwd")
+        bwd_states_rev, bwd_cache = self.lstm_forward(x[:, ::-1], "bwd")
+        if self.pooling == "last":
+            pooled = np.concatenate([fwd_states[:, -1], bwd_states_rev[:, -1]], axis=1)
+        else:
+            pooled = np.concatenate(
+                [fwd_states.mean(axis=1), bwd_states_rev.mean(axis=1)], axis=1)
+        reps = softmax(pooled @ self.params["repr.W"] + self.params["repr.b"])
+        return reps, (x.shape, fwd_cache, bwd_cache, pooled, reps)
+
+    def encode_backward(self, d_reps, cache, grads):
+        (B, T, _), fwd_cache, bwd_cache, pooled, reps = cache
+        inner = np.sum(d_reps * reps, axis=1, keepdims=True)
+        da = reps * (d_reps - inner)
+        grads["repr.W"] += pooled.T @ da
+        grads["repr.b"] += da.sum(axis=0)
+        d_pooled = da @ self.params["repr.W"].T
+        h = self.hidden
+        d_fwd = np.zeros((B, T, h))
+        d_bwd_rev = np.zeros((B, T, h))
+        if self.pooling == "last":
+            d_fwd[:, -1] = d_pooled[:, :h]
+            d_bwd_rev[:, -1] = d_pooled[:, h:]
+        else:
+            d_fwd += d_pooled[:, None, :h] / T
+            d_bwd_rev += d_pooled[:, None, h:] / T
+        self.lstm_backward(d_fwd, fwd_cache, "fwd", grads)
+        self.lstm_backward(d_bwd_rev, bwd_cache, "bwd", grads)
+
+    def encode(self, sequence):
+        return self.encode_group(np.asarray(sequence, dtype=np.float64)[None])[0][0]
+
+    def pair_loss_and_grads(self, seqs_left, seqs_right, same_class):
+        n = len(seqs_left)
+        reps = np.empty((2 * n, self.rep))
+        caches = []
+        for idxs, stacked in length_groups(list(seqs_left) + list(seqs_right)):
+            group_reps, cache = self.encode_group(stacked)
+            reps[idxs] = group_reps
+            caches.append((idxs, cache))
+        diff = reps[:n] - reps[n:]
+        probs = softmax(diff @ self.params["cmp.W"] + self.params["cmp.b"])
+        y = np.where(np.asarray(same_class, dtype=bool), SAME_CLASS, DIFF_CLASS)
+        picked = probs[np.arange(n), y]
+        loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+
+        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        d_logits = probs.copy()
+        d_logits[np.arange(n), y] -= 1.0
+        d_logits /= n
+        grads["cmp.W"] += diff.T @ d_logits
+        grads["cmp.b"] += d_logits.sum(axis=0)
+        d_diff = d_logits @ self.params["cmp.W"].T
+        d_reps = np.concatenate([d_diff, -d_diff], axis=0)
+        for idxs, cache in caches:
+            self.encode_backward(d_reps[idxs], cache, grads)
+        return loss, grads
 
 
 class ReferenceAdam:

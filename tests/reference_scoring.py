@@ -6,7 +6,8 @@ as references.
 call; `_multiplicative_selection` takes each query term's dot products as one
 stacked matmul. Everything here is the straightforward version: one `encode`
 per reference item and per selected term, one `compare_probs` per term, and
-one `np.dot` per (candidate, query term) pair. The multiplicative selection
+one `np.dot` per (candidate, query term) pair, or of the table's unit rows
+when either norm overflowed or is subnormal. The multiplicative selection
 must match it bit for bit. dec's representations may differ from it in the
 last bits (rtol 1e-12), so its judgments, thresholded at 0.5, must match.
 """
@@ -46,6 +47,11 @@ def dec_selection(topic, selection, model, refset, table, alpha, ref_reps=None):
     return out
 
 
+def _abnormal(norm):
+    """A norm whose square overflowed or is subnormal: the table's rule."""
+    return math.isinf(norm) or norm < math.sqrt(np.finfo(np.float64).smallest_normal)
+
+
 def multiplicative_selection(topic, pool, table, m):
     pool_terms = [t for t, _ in pool]
     vectors = [table.vector(t) for t in pool_terms]
@@ -55,8 +61,13 @@ def multiplicative_selection(topic, pool, table, m):
     for w in query_terms:
         wv = table.vector(w)
         nw = math.sqrt(float(np.dot(wv, wv)))
-        sims = [math.exp(min(1.0, max(-1.0, float(np.dot(a, wv)) / (na * nw))))
-                for a, na in zip(vectors, norms)]
+        sims = []
+        for t, a, na in zip(pool_terms, vectors, norms):
+            if table.has_direction(t) and (_abnormal(na) or _abnormal(nw)):
+                cosine = float(np.dot(table._unit[table._row[t]], table._unit[table._row[w]]))
+            else:
+                cosine = float(np.dot(a, wv)) / (na * nw)
+            sims.append(math.exp(min(1.0, max(-1.0, cosine))))
         denom = sum(sims)
         scores = [score * (s / denom) for score, s in zip(scores, sims)]
     ranked = sorted(zip(pool_terms, scores), key=lambda e: (-e[1], e[0]))

@@ -244,6 +244,12 @@ def test_error_exit_codes(tmp_path, capsys):
         _run("expand", "--method", "bm25", *out)
 
 
+def test_train_on_a_deeply_nested_dataset_header_exits_2(tmp_path, capsys):
+    (tmp_path / "dataset.tsv").write_text("# " + "[" * 100_000 + "\n")
+    assert _run("train", "--embeddings", VECTORS, "--output-dir", str(tmp_path)) == 2
+    assert "dataset.tsv:1: bad JSON in metadata header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("source", ["file", "env", "set", "flag"])
 def test_non_finite_float_setting_exits_2(source, raw, ws, tmp_path, monkeypatch, capsys):

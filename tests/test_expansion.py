@@ -2,6 +2,7 @@
 scoring, and classifier reweighting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,3 +314,23 @@ def test_wrappers_equal_the_shared_pool_path(request, name, method):
         expanded += len(shared.weights) > len(set(topic.title_terms))
     assert expanded >= 2
 
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 0.0], [1e-170, 1e-170], [0.0, 1.0]],   # a's squared norm underflows to 0
+    [[1.0, 0.0], [1e-160, 1e-160], [0.0, 1.0]],   # ... or is subnormal
+    [[1.0, 0.0], [1e200, 1e200], [0.0, 1.0]],     # ... or overflows
+    [[1e-170, 0.0], [1.0, 1.0], [0.0, 1.0]],      # the query term's does
+    [[1e300, 0.0], [1.0, 1.0], [0.0, 0.5]],
+], ids=["row-underflow", "row-subnormal", "row-overflow", "query-underflow",
+        "query-overflow"])
+def test_eqe1_cosine_survives_norms_outside_the_normal_range(rows):
+    """cos(a, q) = 1/sqrt(2) and cos(b, q) = 0 at every scale, with no warning."""
+    table = EmbeddingTable(["q", "a", "b"], np.array(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expansion._multiplicative_selection(
+            Topic("x", ["q"]), [("a", 1.0), ("b", 0.0)], table, 2)
+    e = math.exp(1.0 / math.sqrt(2.0))
+    assert [t for t, _ in got] == ["a", "b"]
+    assert got[0][1] == pytest.approx(e / (e + 1.0), rel=1e-15)
+    assert got[1][1] == pytest.approx(1.0 / (e + 1.0), rel=1e-15)

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qexp.collection import Document, ParseError, Qrels, Topic, build_index
 from qexp.embeddings import EmbeddingTable
@@ -232,6 +233,70 @@ def test_tsv_validation(tmp_path, text, line, message):
     p.write_text(text)
     with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: {message}")):
         LabeledDataset.load_tsv(p)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("# " + "[" * 100_000 + "\n", 1, "bad JSON in metadata header (maximum recursion"),
+    ('# {"eps": 1' + "0" * 5000 + "}\n", 1, "bad JSON in metadata header (Exceeds"),
+    ('# {"eps": 0.0005, "queries": {"q1": [1, 2]}}\n', 1,
+     "query q1 needs a non-empty list of non-empty term strings"),
+    ('# {"eps": 0.0005, "queries": {"q1": [null]}}\n', 1, "query q1 needs"),
+    ('# {"eps": 0.0005, "queries": {"q1": []}}\n', 1, "query q1 needs"),
+    ('# {"eps": 0.0005, "queries": {"q1": ["a", ""]}}\n', 1, "query q1 needs"),
+    ('# {"eps": 0.0005, "queries": {"q1": "a"}}\n', 1, "query q1 needs"),
+    (_TSV_HEADER + "q1\tt1\tgood\t0.1\nq1\t\tbad\t-0.1\n", 3, "empty candidate term"),
+], ids=["nested-header", "long-integer", "number-terms", "null-term", "no-terms",
+        "empty-query-term", "terms-not-list", "empty-candidate"])
+def test_tsv_header_and_term_faults(tmp_path, text, line, message):
+    p = tmp_path / "d.tsv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: {message}")):
+        LabeledDataset.load_tsv(p)
+
+
+_FUZZ_TSV = ('# {"eps": 0.0005, "pool_size": 20, "queries": {"q1": ["solar", "cost"], '
+             '"q2": ["wind"]}}\n'
+             "q1\tpanel\tgood\t0.125\nq1\tcoal\tbad\t-0.0625\n"
+             "q2\tturbine\tneutral\t0.0\nq2\tgrid\tgood\t1.0\n").encode()
+
+
+_FUZZ_TOKENS = [b"", b"[", b"{", b"\t", b"\n", b'"', b"null", b"[]", b"[null]", b"[1, 2]",
+                b'""', b"nan", b"-0.0", b"1e999", b"good", b"q1"]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_tsv_mutation_loads_or_raises_parse_error(tmp_path_factory, data):
+    raw = bytearray(_FUZZ_TSV)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "insert", "delete", "field"]))
+    at = data.draw(st.integers(0, len(raw) - 1))
+    token = data.draw(st.sampled_from(_FUZZ_TOKENS) | st.binary(min_size=1, max_size=8))
+    if kind == "truncate":
+        raw = raw[:at]
+    elif kind == "flip":
+        raw[at] ^= data.draw(st.integers(1, 255))
+    elif kind == "insert":
+        raw[at:at] = token
+    elif kind == "delete":
+        del raw[at:at + data.draw(st.integers(1, 8))]
+    else:  # replace one tab-separated field of a row, or one JSON string of the header
+        lines = bytes(raw).split(b"\n")
+        row = data.draw(st.integers(0, len(lines) - 2))
+        sep = b'"' if row == 0 else b"\t"
+        fields = lines[row].split(sep)
+        fields[data.draw(st.integers(0, len(fields) - 1))] = token
+        lines[row] = sep.join(fields)
+        raw = bytearray(b"\n".join(lines))
+    path = tmp_path_factory.getbasetemp() / "mutated.tsv"
+    path.write_bytes(raw)
+    try:
+        ds = LabeledDataset.load_tsv(path)
+    except ParseError:
+        return
+    for ex in ds.examples:
+        assert ex.candidate_term and ex.query_terms
+        assert all(isinstance(t, str) and t for t in ex.query_terms)
+        assert ex.label is label_for_delta(ex.ap_delta, ds.metadata.get("eps", EPS))
 
 
 def test_tsv_accepts_ap_delta_of_plus_and_minus_one(tmp_path):

@@ -216,6 +216,53 @@ def test_pair_loss_validation():
         m.pair_loss_and_grads([seq], [seq, seq], [True])
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((0, 2)), "non-empty"),
+    (np.zeros((2, 3)), "dim 3 != model dim 2"),
+    (np.zeros(2), "non-empty"),
+], ids=["empty", "wrong-dim", "one-dimensional"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_pair_loss_checks_sequences_like_encode_batch(bad, message, side):
+    m = SiameseModel(2, 2, 2, np.random.default_rng(0))
+    seq = np.ones((2, 2))
+    with pytest.raises(ValueError, match=message):
+        m.encode_batch([seq, bad])
+    lefts, rights = ([seq, bad], [seq, seq]) if side == "left" else ([seq, seq], [seq, bad])
+    with pytest.raises(ValueError, match=message):
+        m.pair_loss_and_grads(lefts, rights, [True, False])
+
+
+def _same_parameters(model):
+    twin = SiameseModel(model.dim, model.hidden, model.rep, np.random.default_rng(0),
+                        model.pooling)
+    for name in PARAM_ORDER:
+        twin.params[name][...] = model.params[name]
+    return twin
+
+
+@pytest.mark.parametrize("pooling", ["last", "mean"])
+def test_a_grown_workspace_leaves_no_stale_values(pooling):
+    """A model whose workspace grew on a long mixed-length batch gives, on
+    smaller batches, the bits of a fresh model at the same parameters."""
+    d = 4
+    rng = np.random.default_rng(9)
+    grown = SiameseModel(d, 3, 5, np.random.default_rng(10), pooling)
+    big = [rng.standard_normal((t, d)) for t in (5, 1, 4, 2, 3, 5, 4, 3, 2, 1)]
+    grown.pair_loss_and_grads(big[:5], big[5:], [True, False, True, False, True])
+    for lengths in ([(1, 1)], [(2, 3), (3, 2)], [(3, 3), (3, 3), (3, 3)]):
+        lefts = [rng.standard_normal((tl, d)) for tl, _ in lengths]
+        rights = [rng.standard_normal((tr, d)) for _, tr in lengths]
+        same = [k % 2 == 0 for k in range(len(lengths))]
+        fresh = _same_parameters(grown)
+        want_loss, want = fresh.pair_loss_and_grads(lefts, rights, same)
+        loss, grads = grown.pair_loss_and_grads(lefts, rights, same)
+        assert loss == want_loss
+        for name in PARAM_ORDER:
+            assert grads[name].tobytes() == want[name].tobytes(), (lengths, name)
+        seqs = lefts + rights
+        assert grown.encode_batch(seqs).tobytes() == fresh.encode_batch(seqs).tobytes()
+
+
 def test_length_groups_partition():
     seqs = [np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((3, 2)), np.zeros((2, 2))]
     groups = list(_length_groups(seqs))

@@ -43,7 +43,7 @@ QUICK_START = {
 }
 LEARN = {
     "model.qxdm":
-        "4d7f88ef02e2c5693e73b31ea9415d9e30b43634fe82979b3919cc5650715805",
+        "e77b9682c8be69a23434835102205ea168a70eb6d2862fd807f9355c0f474c21",
     "loss.csv":
         "f73f2cc0e154e3a7bb03e0f31a7c93958a3b2fba46b10b2b763ba3b5207f860d",
     "run_dec.txt":

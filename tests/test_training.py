@@ -1,6 +1,7 @@
 """Adam optimizer, input assembly, and end-to-end pair training."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qexp.classifier.pairs import generate_pairs
 from qexp.classifier.training import (ADAM_BLOCK, Adam, TrainConfig,
                                       encodable_examples, example_sequence,
                                       pair_accuracy, train)
+from qexp.config import Config
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import Label, LabeledDataset, LabeledExample
 
@@ -101,12 +103,15 @@ def test_adam_rejects_non_contiguous_parameter():
 
 @pytest.mark.parametrize("pooling", ["last", "mean"])
 def test_training_steps_match_allocating_reference(pooling):
-    """A few batches through the reused-buffer model and in-place Adam give
-    the same bits as the allocating reference: every loss, every parameter."""
+    """A few batches through the workspace model and in-place Adam against the
+    allocating reference: at equal parameters the loss and the representations
+    keep every bit and each gradient tensor is within 1e-11 of its largest
+    entry; after the run the parameters are within 1e-12."""
     d, h, r = 7, 5, 6
     rng = np.random.default_rng(12)
     model = SiameseModel(d, h, r, np.random.default_rng(13), pooling)
     ref = ReferenceModel(d, h, r, np.random.default_rng(13), pooling)
+    lockstep = ReferenceModel(d, h, r, np.random.default_rng(13), pooling)
     adam, ref_adam = Adam(model.params, 0.01), ReferenceAdam(ref.params, 0.01)
     batches = [
         [(1, 1, True), (1, 1, False)],                  # t = 0 only
@@ -118,17 +123,49 @@ def test_training_steps_match_allocating_reference(pooling):
         lefts = [rng.standard_normal((tl, d)) for tl, _, _ in batch]
         rights = [rng.standard_normal((tr, d)) for _, tr, _ in batch]
         same = [flag for _, _, flag in batch]
-        loss, grads = model.pair_loss_and_grads(lefts, rights, same)
-        ref_loss, ref_grads = ref.pair_loss_and_grads(lefts, rights, same)
-        assert loss == ref_loss
         for name in PARAM_ORDER:
-            assert np.array_equal(grads[name], ref_grads[name]), name
+            lockstep.params[name][...] = model.params[name]
+        loss, grads = model.pair_loss_and_grads(lefts, rights, same)
+        want_loss, want_grads = lockstep.pair_loss_and_grads(lefts, rights, same)
+        assert loss == want_loss
+        for name in PARAM_ORDER:
+            bound = 1e-11 * np.max(np.abs(want_grads[name]))
+            assert np.max(np.abs(grads[name] - want_grads[name])) <= bound, name
         adam.step(model.params, grads)
-        ref_adam.step(ref.params, ref_grads)
-        for name in PARAM_ORDER:  # bytes, so signed zeros must match too
-            assert model.params[name].tobytes() == ref.params[name].tobytes(), name
+        ref_adam.step(ref.params, ref.pair_loss_and_grads(lefts, rights, same)[1])
+    for name in PARAM_ORDER:
+        assert np.max(np.abs(model.params[name] - ref.params[name])) <= 1e-12, name
     seq = rng.standard_normal((3, d))
-    assert model.encode(seq).tobytes() == ref.encode(seq).tobytes()
+    for name in PARAM_ORDER:
+        lockstep.params[name][...] = model.params[name]
+    assert model.encode(seq).tobytes() == lockstep.encode(seq).tobytes()
+
+
+@pytest.mark.parametrize("pooling", ["last", "mean"])
+def test_a_warm_training_step_allocates_no_block(pooling):
+    """After two warm-up batches, a step (the loss, its gradients and Adam)
+    at the default sizes allocates less than one (B, h) block in all: the
+    LSTM's intermediates, the gradients and the update live in reused
+    buffers. (NumPy's own iteration buffers hold at most 8,192 elements, less
+    than a block at these sizes.)"""
+    d, h, r, n = 300, Config.hidden, Config.rep, Config.batch
+    rng = np.random.default_rng(3)
+    model = SiameseModel(d, h, r, np.random.default_rng(4), pooling)
+    adam = Adam(model.params, 0.01)
+    batches = [([rng.standard_normal((3, d)) for _ in range(n)],
+                [rng.standard_normal((3, d)) for _ in range(n)],
+                [k % 2 == 0 for k in range(n)]) for _ in range(3)]
+    for batch in batches[:2]:
+        adam.step(model.params, model.pair_loss_and_grads(*batch)[1])
+    block = 2 * n * h * 8  # bytes of one (B, h) float block, B = 2n sequences
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        adam.step(model.params, model.pair_loss_and_grads(*batches[2])[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < block, (peak - before, block)
 
 
 def test_example_sequence_rows_and_errors():

@@ -80,7 +80,6 @@ class SiameseModel:
             self.params[f"{direction}.b"][hidden:2 * hidden] = 1.0
         self._grads = {name: np.zeros(shape)
                        for name, shape in param_shapes(dim, hidden, rep).items()}
-        self._product = np.empty(max(g.size for g in self._grads.values()))
         self._workspace = {}
 
     def _buffer(self, key, shape):
@@ -91,19 +90,12 @@ class SiameseModel:
             buf = self._workspace[key] = np.empty(size)
         return buf[:size].reshape(shape)
 
-    def _write_grad(self, name, first, op, *operands):
-        """grads[name] = op(*operands) for the first length group, += for later ones."""
-        grad = self._grads[name]
-        if first:
-            op(*operands, out=grad)
-        else:
-            grad += op(*operands, out=self._product[:grad.size].reshape(grad.shape))
-
-    # --- one LSTM direction over a batch of equal-length sequences ---
+    # --- one LSTM direction over a batch of sequences padded to one length ---
 
     def _lstm_forward(self, x, direction):
         """x: (B, T, d) in scan order. Returns the per-step states (B, T, h) and
-        the cache: workspace views, step-major in the memory order of x's steps."""
+        the cache: workspace views, step-major in the memory order of x's steps.
+        A row's pad steps come after its true ones, so no true state reads them."""
         W, U, b = (self.params[f"{direction}.{p}"] for p in "WUb")
         B, T, _ = x.shape
         h = self.hidden
@@ -111,7 +103,7 @@ class SiameseModel:
         # Every step's activated gates, gate-major: i, f, g and o are each a
         # contiguous (B, h) block, so the elementwise work reads no strides.
         gates, c, tanh_c, states = (
-            self._buffer((name, direction, T), (T, *shape))[order]
+            self._buffer((name, direction), (T, *shape))[order]
             for name, shape in (("gates", (4, B, h)), ("c", (B, h)),
                                 ("tanh_c", (B, h)), ("h", (B, h))))
         z = self._buffer("z", (B, 4 * h))
@@ -133,10 +125,11 @@ class SiameseModel:
             np.multiply(o, tanh_c[t], out=states[t])
         return states.transpose(1, 0, 2), (x, gates, c, tanh_c, states)
 
-    def _lstm_backward(self, d_states, cache, direction, first):
+    def _lstm_backward(self, d_states, cache, direction):
         """d_states: (T, B, h) gradient on every per-step hidden state, in scan order.
         Each step's dz replaces its spent gate block, read as (B, 4h), so dW, dU
-        and db are one product or sum each over all steps."""
+        and db are one product or sum each over all steps. d_states is zero at
+        the pad steps, which the scan meets first, so their dz is zero too."""
         x, gates, c, tanh_c, states = cache
         U = self.params[f"{direction}.U"]
         B, T, _ = x.shape
@@ -163,58 +156,65 @@ class SiameseModel:
             if t:  # the zero state at t = 0 passes nothing back
                 np.matmul(gates[t].reshape(B, 4 * h), U.T, out=dh)
         dz_rows = _step_rows(gates, 4 * h)
-        self._write_grad(f"{direction}.W", first, np.matmul,
-                         _step_rows(x.transpose(1, 0, 2), x.shape[2]).T, dz_rows)
-        self._write_grad(f"{direction}.U", first, np.matmul,
-                         _step_rows(states[:-1], h).T, _step_rows(gates[1:], 4 * h))
-        self._write_grad(f"{direction}.b", first, np.add.reduce, dz_rows)
+        grads = [self._grads[f"{direction}.{p}"] for p in "WUb"]
+        np.matmul(_step_rows(x.transpose(1, 0, 2), x.shape[2]).T, dz_rows, out=grads[0])
+        np.matmul(_step_rows(states[:-1], h).T, _step_rows(gates[1:], 4 * h), out=grads[1])
+        np.add.reduce(dz_rows, out=grads[2])
 
     # --- encoder: BiLSTM + dense softmax representation ---
 
-    def _encode_batch_cached(self, x):
-        """Representations (B, r) of equal-length sequences x (B, T, d), and the
-        cache, in the workspace under T: each length group of a batch has its own."""
-        B, T, _ = x.shape
+    def _encode_batch_cached(self, seqs):
+        """Representations (B, r) of checked sequences, one padded batch, and
+        the cache, in the workspace."""
+        x_fwd, x_bwd, lengths = self._stack(seqs)
+        B, T, _ = x_fwd.shape
         h = self.hidden
-        fwd_states, fwd_cache = self._lstm_forward(x, "fwd")
-        bwd_states_rev, bwd_cache = self._lstm_forward(x[:, ::-1], "bwd")
-        pooled = self._buffer(("pooled", T), (B, 2 * h))
-        if self.pooling == "last":
-            pooled[:, :h], pooled[:, h:] = fwd_states[:, -1], bwd_states_rev[:, -1]
-        else:
-            # Mean over steps is position-invariant, so no realignment needed.
-            # A contiguous target, so NumPy buffers nothing.
-            mean = self._buffer("scratch", (B, h))
-            pooled[:, :h] = np.mean(fwd_states, axis=1, out=mean)
-            pooled[:, h:] = np.mean(bwd_states_rev, axis=1, out=mean)
-        a = np.matmul(pooled, self.params["repr.W"],
-                      out=self._buffer(("reps", T), (B, self.rep)))
+        caches = [self._lstm_forward(x_fwd, "fwd")[1], self._lstm_forward(x_bwd, "bwd")[1]]
+        # The steps each row pools, (T, B, 1) in scan order: its last true
+        # step, or all of them. Mean over steps is position-invariant, so the
+        # backward scan's states need no realignment.
+        steps = np.arange(T)[:, None, None]
+        keep = (steps == lengths[:, None] - 1 if self.pooling == "last"
+                else steps < lengths[:, None])
+        pooled = self._buffer("pooled", (B, 2 * h))
+        for half, (*_, states) in zip((pooled[:, :h], pooled[:, h:]), caches):
+            if self.pooling == "last":
+                for t in range(T):
+                    np.copyto(half, states[t], where=keep[t])
+            else:  # a contiguous target, so NumPy buffers nothing
+                half[...] = np.add.reduce(states, axis=0, where=keep,
+                                          out=self._buffer("scratch", (B, h)))
+        # Each row's length along its row, so dividing by it broadcasts nothing.
+        counts = self._buffer("counts", (B, 2 * h))
+        counts[...] = lengths[:, None]
+        if self.pooling == "mean":
+            pooled /= counts
+        a = np.matmul(pooled, self.params["repr.W"], out=self._buffer("reps", (B, self.rep)))
         a += self.params["repr.b"]
         reps = _softmax(a)
-        return reps, (fwd_cache, bwd_cache, pooled, reps)
+        return reps, (caches, pooled, reps, keep, counts)
 
-    def _encode_backward(self, d_reps, cache, first):
-        """d_reps: (B, r), overwritten; the first length group writes the gradients."""
-        fwd_cache, bwd_cache, pooled, reps = cache
-        B, T, _ = fwd_cache[0].shape
+    def _encode_backward(self, d_reps, cache):
+        """d_reps: (B, r), overwritten. Writes every gradient but the head's."""
+        caches, pooled, reps, keep, counts = cache
+        B, T, _ = caches[0][0].shape
         # Softmax jacobian: da = rep * (drep - sum(drep * rep)).
         products = np.multiply(d_reps, reps, out=self._buffer("d_reps_reps", d_reps.shape))
         inner = np.sum(products, axis=1, keepdims=True)
         da = np.multiply(reps, np.subtract(d_reps, inner, out=d_reps), out=d_reps)
-        self._write_grad("repr.W", first, np.matmul, pooled.T, da)
-        self._write_grad("repr.b", first, np.add.reduce, da)
+        np.matmul(pooled.T, da, out=self._grads["repr.W"])
+        np.add.reduce(da, out=self._grads["repr.b"])
         d_pooled = np.matmul(da, self.params["repr.W"].T,
                              out=self._buffer("d_pooled", pooled.shape))
+        if self.pooling == "mean":
+            d_pooled /= counts
         h = self.hidden
         d_states = self._buffer("d_states", (T, B, h))
-        for direction, cache_dir, d_half in (("fwd", fwd_cache, d_pooled[:, :h]),
-                                            ("bwd", bwd_cache, d_pooled[:, h:])):
-            if self.pooling == "last":
-                d_states[:-1] = 0.0
-                d_states[-1] = d_half
-            else:
-                np.divide(d_half, T, out=d_states)
-            self._lstm_backward(d_states, cache_dir, direction, first)
+        d_states[...] = 0.0  # and stays zero at the steps no row pools
+        for direction, cache_dir, d_half in zip(("fwd", "bwd"), caches,
+                                                (d_pooled[:, :h], d_pooled[:, h:])):
+            np.copyto(d_states, d_half, where=keep)
+            self._lstm_backward(d_states, cache_dir, direction)
 
     def _sequences(self, sequences) -> list:
         """sequences as float64 (T, d) arrays, checked against the model."""
@@ -226,24 +226,32 @@ class SiameseModel:
                 raise ValueError(f"sequence dim {seq.shape[1]} != model dim {self.dim}")
         return seqs
 
-    def _stack(self, group):
-        """Equal-length sequences stacked step-major into the workspace, as (B, T, d)."""
-        x = self._buffer(("x", len(group[0])), (len(group[0]), len(group), self.dim))
-        return np.stack(group, axis=1, out=x).transpose(1, 0, 2)
+    def _stack(self, seqs):
+        """The sequences zero-padded to the longest, T, in two step-major copies
+        viewed as (B, T, d) in scan order, and their lengths (B,). The forward
+        copy is right-padded; the backward one is left-padded and read from its
+        last step. So both scans start at a true step and run their pads last,
+        and with no pads both copies run in input order."""
+        lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+        T = int(lengths.max(initial=0))
+        x_fwd, x_bwd = (self._buffer(key, (T, len(seqs), self.dim))
+                        for key in ("x_fwd", "x_bwd"))
+        x_fwd[...], x_bwd[...] = 0.0, 0.0  # a stale NaN pad would reach dW as 0 * NaN
+        for b, seq in enumerate(seqs):
+            x_fwd[:len(seq), b] = seq
+            x_bwd[T - len(seq):, b] = seq
+        return x_fwd.transpose(1, 0, 2), x_bwd[::-1].transpose(1, 0, 2), lengths
 
     def encode(self, sequence) -> np.ndarray:
         """Encode one sequence (T, d) into its representation (r,)."""
         return self.encode_batch([sequence])[0]
 
     def encode_batch(self, sequences) -> np.ndarray:
-        """Encode sequences (T_i, d) into representations (n, r), in input order.
-        Equal lengths run as one batch; from two rows up it runs matrix-matrix
-        products where encode runs matrix-vector ones, moving the last bits."""
-        seqs = self._sequences(sequences)
-        reps = np.empty((len(seqs), self.rep))
-        for idxs, stacked in _length_groups(seqs, self._stack):
-            reps[idxs] = self._encode_batch_cached(stacked)[0]
-        return reps
+        """Encode sequences (T_i, d) into representations (n, r), in input order,
+        as one batch padded to the longest. From two rows up it runs
+        matrix-matrix products where encode runs matrix-vector ones, moving the
+        last bits."""
+        return self._encode_batch_cached(self._sequences(sequences))[0].copy()
 
     # --- comparison head ---
 
@@ -261,20 +269,14 @@ class SiameseModel:
     def pair_loss_and_grads(self, seqs_left, seqs_right, same_class):
         """Mean cross-entropy over a batch of pairs, with parameter gradients.
 
-        seqs_left/seqs_right are lists of (T_i, d) arrays; lengths may differ
-        between pairs (equal-length groups run vectorized internally). The
+        seqs_left/seqs_right are lists of (T_i, d) arrays; lengths may differ,
+        and all 2n sequences run as one batch padded to the longest. The
         gradients are the model's own buffers, which the next call overwrites.
         """
         n = len(seqs_left)
         if n == 0 or n != len(seqs_right) or n != len(same_class):
             raise ValueError("batch inputs must be non-empty and equally long")
-        all_seqs = self._sequences([*seqs_left, *seqs_right])
-        reps = self._buffer("pair_reps", (2 * n, self.rep))
-        caches = []
-        for idxs, stacked in _length_groups(all_seqs, self._stack):
-            group_reps, cache = self._encode_batch_cached(stacked)
-            reps[idxs] = group_reps
-            caches.append((idxs, cache))
+        reps, cache = self._encode_batch_cached(self._sequences([*seqs_left, *seqs_right]))
 
         diff, probs = self._compare_head(reps[:n], reps[n:],
                                          self._buffer("diff", (n, self.rep)))
@@ -291,27 +293,13 @@ class SiameseModel:
         d_reps = self._buffer("d_reps", (2 * n, self.rep))
         np.matmul(d_logits, self.params["cmp.W"].T, out=d_reps[:n])
         np.negative(d_reps[:n], out=d_reps[n:])
-        for k, (idxs, cache) in enumerate(caches):
-            d_group = np.take(d_reps, idxs, axis=0, mode="clip",
-                              out=self._buffer("d_group", (len(idxs), self.rep)))
-            self._encode_backward(d_group, cache, k == 0)
+        self._encode_backward(d_reps, cache)
         return loss, self._grads
 
 
 def judged_same(probs) -> np.ndarray:
     """The same/different call on compare-head probabilities (B, 2): P(same) >= 0.5."""
     return probs[:, SAME_CLASS] >= 0.5
-
-
-def _length_groups(seqs, stack=np.stack):
-    """Group sequences by length, shortest first; yields (original indexes,
-    stack(the group's sequences)), which np.stack makes (B, T, d)."""
-    by_len: dict[int, list[int]] = {}
-    for i, s in enumerate(seqs):
-        by_len.setdefault(s.shape[0], []).append(i)
-    for length in sorted(by_len):
-        idxs = np.array(by_len[length])
-        yield idxs, stack([seqs[i] for i in idxs])
 
 
 def _step_rows(a, width):

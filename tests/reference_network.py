@@ -3,8 +3,9 @@
 `qexp.classifier.network` and `qexp.classifier.training` compute the same
 arithmetic in a reused step workspace, with one `exp` per sigmoid, no
 matmuls against the zero state at t = 0, and one product per gradient tensor
-over all steps of a length group. Everything here is the straightforward
-version: the boolean-mask sigmoid, one LSTM direction forward and backward
+over all steps of one batch zero-padded to its longest sequence. Everything
+here is the straightforward version: one group per sequence length, the
+boolean-mask sigmoid, one LSTM direction forward and backward
 with a fresh array for every intermediate and one gradient product per step,
 fresh gradient tensors per batch, and Adam rebuilding its moments every
 step. The forward pass must match it bit for bit; the gradients within a

@@ -12,7 +12,6 @@ from qexp.classifier.network import (
     PARAM_ORDER,
     SAME_CLASS,
     SiameseModel,
-    _length_groups,
     _sigmoid,
     _softmax,
     gradient_check,
@@ -263,15 +262,27 @@ def test_a_grown_workspace_leaves_no_stale_values(pooling):
         assert grown.encode_batch(seqs).tobytes() == fresh.encode_batch(seqs).tobytes()
 
 
-def test_length_groups_partition():
-    seqs = [np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((3, 2)), np.zeros((2, 2))]
-    groups = list(_length_groups(seqs))
-    seen = sorted(i for idxs, _ in groups for i in idxs)
-    assert seen == [0, 1, 2, 3]
-    lengths = [stacked.shape[1] for _, stacked in groups]
-    assert lengths == sorted(lengths)
-    by_len = {stacked.shape[1]: list(idxs) for idxs, stacked in groups}
-    assert by_len[3] == [0, 2]
+@pytest.mark.parametrize("pooling", ["last", "mean"])
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_padding_leaves_a_row_bit_identical(pooling, length):
+    """A row's representation keeps its bits when its batch partner is 2 or 3
+    steps longer, so the row runs pad steps, as when the partner has its own
+    length."""
+    d = 6
+    rng = np.random.default_rng(30 + length)
+    m = SiameseModel(d, 5, 4, rng, pooling)
+    row = rng.standard_normal((length, d))
+    for k in (0, 1):  # the row's place in the batch
+
+        def rep_beside(partner):
+            pair = [partner, partner]
+            pair[k] = row
+            return m.encode_batch(pair)[k]
+
+        want = rep_beside(rng.standard_normal((length, d)))
+        for extra in (2, 3):
+            got = rep_beside(rng.standard_normal((length + extra, d)))
+            assert got.tobytes() == want.tobytes(), (k, extra)
 
 
 @pytest.mark.parametrize("pooling,same", [("last", True), ("mean", False)])

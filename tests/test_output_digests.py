@@ -43,7 +43,7 @@ QUICK_START = {
 }
 LEARN = {
     "model.qxdm":
-        "e77b9682c8be69a23434835102205ea168a70eb6d2862fd807f9355c0f474c21",
+        "196db7e203b1c6995c7e1ef6f78a59b9138384565c50838e4470fa9c2165f273",
     "loss.csv":
         "f73f2cc0e154e3a7bb03e0f31a7c93958a3b2fba46b10b2b763ba3b5207f860d",
     "run_dec.txt":

@@ -1,5 +1,6 @@
 """Adam optimizer, input assembly, and end-to-end pair training."""
 
+import hashlib
 import logging
 import tracemalloc
 
@@ -118,6 +119,7 @@ def test_training_steps_match_allocating_reference(pooling):
         [(1, 2, True), (3, 4, False), (2, 2, True), (4, 1, False), (3, 3, True)],
         [(4, 4, False), (2, 3, True), (1, 4, True)],
         [(2, 1, False), (3, 2, True), (4, 3, False), (1, 1, True)],
+        [(5, 3, True), (2, 5, False), (1, 4, True), (3, 2, False)],  # to 5, one length 1
     ]
     for batch in batches:
         lefts = [rng.standard_normal((tl, d)) for tl, _, _ in batch]
@@ -139,6 +141,33 @@ def test_training_steps_match_allocating_reference(pooling):
     for name in PARAM_ORDER:
         lockstep.params[name][...] = model.params[name]
     assert model.encode(seq).tobytes() == lockstep.encode(seq).tobytes()
+
+
+# sha256 of the parameters after the steps below, recorded when a batch ran
+# as one group per sequence length: a batch of equal-length sequences must
+# still give these bits. Like test_output_digests.py, they hold for one
+# NumPy/BLAS build.
+EQUAL_LENGTH_DIGESTS = {
+    "last": "2697a54f66eb8c6745d84002cdde165c86b7884ff7b500ee3facd9cbf51245ea",
+    "mean": "4925d84bfe523f47bb1097baffe6e438b7e3f638d4e21e5b722ba61fe21fe7e1",
+}
+
+
+@pytest.mark.parametrize("pooling", ["last", "mean"])
+def test_equal_length_training_keeps_recorded_bits(pooling):
+    """Three Adam steps on batches whose sequences all have length 3."""
+    d, h, r, n = 6, 5, 4, 4
+    rng = np.random.default_rng(21)
+    model = SiameseModel(d, h, r, np.random.default_rng(22), pooling)
+    adam = Adam(model.params, 0.01)
+    for _ in range(3):
+        lefts = [rng.standard_normal((3, d)) for _ in range(n)]
+        rights = [rng.standard_normal((3, d)) for _ in range(n)]
+        adam.step(model.params, model.pair_loss_and_grads(
+            lefts, rights, [k % 2 == 0 for k in range(n)])[1])
+    digest = hashlib.sha256(b"".join(model.params[name].tobytes()
+                                     for name in PARAM_ORDER)).hexdigest()
+    assert digest == EQUAL_LENGTH_DIGESTS[pooling]
 
 
 @pytest.mark.parametrize("pooling", ["last", "mean"])

@@ -9,11 +9,11 @@ import numpy as np
 
 from qexp import collection, config, embeddings, experiment, labeling
 from qexp.classifier.checkpoint import load_model, save_model, write_loss_csv
-from qexp.classifier.inference import build_reference_set, encode_reference_set
+from qexp.classifier.inference import build_reference_set
 from qexp.classifier.network import SiameseModel, gradient_check
 from qexp.classifier.training import TrainConfig, train
-from qexp.expansion import ExpansionConfig, build_query_model
-from qexp.retrieval import retrieve, write_run
+from qexp.expansion import ExpansionConfig
+from qexp.retrieval import write_run
 
 log = logging.getLogger(__name__)
 
@@ -73,13 +73,9 @@ def _out(cfg: config.Config, name: str) -> Path:
     return out / name
 
 
-def _stopwords(cfg: config.Config):
-    return collection.load_stopwords(cfg.stopwords or None)
-
-
 def _load_retrieval_inputs(cfg: config.Config):
     """Stopwords, index, topics, and the embeddings of index and title terms."""
-    stop = _stopwords(cfg)
+    stop = collection.load_stopwords(cfg.stopwords or None)
     idx = collection.InvertedIndex.load(_out(cfg, cfg.index))
     topics = collection.load_topics(cfg.topics, stop)
     keep = set(idx.vocabulary())
@@ -98,10 +94,9 @@ def _expansion_config(cfg: config.Config) -> ExpansionConfig:
     return ExpansionConfig(cfg.m, cfg.alpha, cfg.beta, cfg.pool_size)
 
 
-def cmd_index(args) -> int:
-    cfg = _cfg_from_args(args)
+def cmd_index(cfg: config.Config, args) -> int:
     _require(cfg, "corpus", "index")
-    stop = _stopwords(cfg)
+    stop = collection.load_stopwords(cfg.stopwords or None)
     corpus = Path(cfg.corpus)
     paths = sorted(p for p in corpus.iterdir() if p.is_file()) \
         if corpus.is_dir() else [corpus]
@@ -115,8 +110,7 @@ def cmd_index(args) -> int:
     return 0
 
 
-def cmd_label(args) -> int:
-    cfg = _cfg_from_args(args)
+def cmd_label(cfg: config.Config, args) -> int:
     _require(cfg, "index", "topics", "qrels", "embeddings")
     stop, idx, topics, table = _load_retrieval_inputs(cfg)
     qrels = collection.load_qrels(cfg.qrels)
@@ -131,8 +125,7 @@ def cmd_label(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _cfg_from_args(args)
+def cmd_train(cfg: config.Config, args) -> int:
     _require(cfg, "dataset", "embeddings", "model")
     dataset = labeling.LabeledDataset.load_tsv(_out(cfg, cfg.dataset))
     if not dataset.examples:
@@ -150,28 +143,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_expand(args) -> int:
-    cfg = _cfg_from_args(args)
+def cmd_expand(cfg: config.Config, args) -> int:
     _require(cfg, "index", "topics", "embeddings")
     stop, idx, topics, table = _load_retrieval_inputs(cfg)
-    ecfg = _expansion_config(cfg)
-
-    model = refset = ref_reps = None
+    model = refset = None
     if args.method == "dec":
         _require(cfg, "model", "dataset")
         model, _ = load_model(_out(cfg, cfg.model))
         dataset = labeling.LabeledDataset.load_tsv(_out(cfg, cfg.dataset))
         refset = build_reference_set(dataset, table, cfg.refset_size,
                                      np.random.default_rng(cfg.seed))
-        ref_reps = encode_reference_set(model, refset, table)
-
-    models = []
-    for topic in topics:
-        pool = [] if args.method == "qlm" else labeling.scored_candidate_pool(
-            topic, table, idx, ecfg.pool_size, stop)
-        models.append(build_query_model(args.method, topic, pool, table, ecfg, model,
-                                        refset, ref_reps))
-    ranked = [retrieve(qm, idx, cfg.mu, cfg.depth) for qm in models]
+    ranked = experiment.rank_topics(topics, idx, table, [args.method],
+                                    _expansion_config(cfg), stop, cfg.mu, cfg.depth,
+                                    model, refset)[args.method]
     tag = args.tag or args.method
     run_path = _out(cfg, f"run_{args.method}.txt")
     write_run(ranked, run_path, tag)
@@ -179,8 +163,7 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _cfg_from_args(args)
+def cmd_eval(cfg: config.Config, args) -> int:
     _require(cfg, "index", "topics", "qrels", "embeddings")
     stop, idx, topics, table = _load_retrieval_inputs(cfg)
     qrels = collection.load_qrels(cfg.qrels)
@@ -204,8 +187,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _cfg_from_args(args)
+def cmd_gradcheck(cfg: config.Config, args) -> int:
     rng = np.random.default_rng(cfg.seed)
     d, h, r, t = 4, 3, 4, 3
     model = SiameseModel(d, h, r, rng, pooling=cfg.pooling)
@@ -261,7 +243,7 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        return args.func(_cfg_from_args(args), args)
     except (config.ConfigError, collection.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

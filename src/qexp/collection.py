@@ -93,14 +93,12 @@ class Topic:
 
 class Qrels:
     """Relevance judgments: a (query_id, doc_id) pair is relevant when any of
-    its rows has a grade above 0."""
+    its rows has a grade above 0; any other grade, negative too, is not."""
 
     def __init__(self):
         self._relevant: dict[str, set[str]] = {}
 
     def add(self, query_id: str, doc_id: str, grade: int):
-        if grade < 0:
-            raise ValueError(f"negative relevance grade for ({query_id}, {doc_id})")
         if grade > 0:
             self._relevant.setdefault(query_id, set()).add(doc_id)
 
@@ -280,20 +278,24 @@ def load_topics(path, stopwords) -> list[Topic]:
     """Parse TREC <top>/<num>/<title> topics; titles are tokenized.
 
     Topics whose titles are empty after stopping are skipped with a warning.
-    A line that is not UTF-8 raises ParseError naming path:line.
+    A line that is not UTF-8, and a topic block with no number or title or a
+    repeated number, raise ParseError naming path:line.
     """
     raw = "".join(line for _, line in text_lines(path))
     topics = []
     seen = set()
     for m in re.finditer(r"<top>(.*?)</top>", raw, re.DOTALL):
+        line = raw.count("\n", 0, m.start()) + 1
         block = m.group(1)
-        num_m = re.search(r"<num>\s*(?:Number:)?\s*(\S+)", block)
+        num_m = re.search(r"<num>\s*(?:Number:)?\s*([^\s<]*)", block)
         title_m = re.search(r"<title>\s*(?:Topic:)?\s*([^<]*)", block)
         if num_m is None or title_m is None:
-            raise ParseError(f"{path}: topic block missing <num> or <title>")
-        query_id = num_m.group(1).strip()
+            raise ParseError(f"{path}:{line}: topic block missing <num> or <title>")
+        query_id = num_m.group(1)
+        if not query_id:
+            raise ParseError(f"{path}:{line}: empty topic number after <num>")
         if query_id in seen:
-            raise ParseError(f"{path}: duplicate topic number {query_id!r}")
+            raise ParseError(f"{path}:{line}: duplicate topic number {query_id!r}")
         seen.add(query_id)
         terms = tokenize(title_m.group(1), stopwords)
         if not terms:
@@ -304,7 +306,8 @@ def load_topics(path, stopwords) -> list[Topic]:
 
 
 def load_qrels(path) -> Qrels:
-    """Parse whitespace-delimited 4-column qrels: qid 0 docno grade."""
+    """Parse whitespace-delimited 4-column qrels: qid 0 docno grade. Any
+    integer grade loads; grades of 0 and below (TREC Web's -2) are non-relevant."""
     qrels = Qrels()
     for lineno, line in text_lines(path):
         if not line.strip():
@@ -317,8 +320,6 @@ def load_qrels(path) -> Qrels:
             grade = int(grade_s)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-integer grade {grade_s!r}") from None
-        if grade < 0:
-            raise ParseError(f"{path}:{lineno}: negative grade {grade}")
         qrels.add(qid, docno, grade)
     return qrels
 

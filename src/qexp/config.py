@@ -118,7 +118,7 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read `key = value` lines; `#` starts a comment; unknown keys rejected."""
+    """Read `key = value` lines; `#` starts a comment; faults name path:line."""
     values: dict = {}
     for lineno, line in text_lines(path, ConfigError):
         line = line.split("#", 1)[0].strip()
@@ -130,7 +130,12 @@ def parse_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        try:
+            values[key] = _coerce(key, raw)
+            if key in RANGES:
+                check(key, values[key])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

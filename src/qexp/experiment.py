@@ -14,7 +14,7 @@ from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable
 from qexp.evaluation import Comparison, EvalResult, evaluate_rankings
 from qexp.expansion import ExpansionConfig, build_query_model
-from qexp.retrieval import retrieve
+from qexp.retrieval import RankedList, retrieve
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +44,25 @@ def partition_folds(query_ids, k: int, rng: np.random.Generator) -> list[list[st
     return [sorted(f) for f in folds]
 
 
+def rank_topics(topics, idx: InvertedIndex, table: EmbeddingTable, methods,
+                expansion_cfg: ExpansionConfig, stopwords, mu: float, depth: int,
+                model=None, refset=None) -> dict[str, list[RankedList]]:
+    """Each method's ranked lists of the topics, in topic order. dec's
+    reference set is encoded once, and each topic's candidate pool is scanned
+    once and shared by the expansion methods; qlm alone scans nothing."""
+    ref_reps = None if refset is None else encode_reference_set(model, refset, table)
+    expands = any(m != "qlm" for m in methods)
+    rankings: dict[str, list[RankedList]] = {m: [] for m in methods}
+    for topic in topics:
+        pool = labeling.scored_candidate_pool(
+            topic, table, idx, expansion_cfg.pool_size, stopwords) if expands else []
+        for method in methods:
+            qm = build_query_model(method, topic, pool, table, expansion_cfg,
+                                   model, refset, ref_reps)
+            rankings[method].append(retrieve(qm, idx, mu, depth))
+    return rankings
+
+
 def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTable,
                    dataset: labeling.LabeledDataset | None, methods=METHODS,
                    folds: int = Config.folds, seed: int = Config.seed,
@@ -57,8 +76,8 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
 
     The classifier method trains one model per fold on the other folds'
     labeled examples and builds its reference set from the same training
-    split; every other method ignores the training data entirely. Each test
-    topic's candidate pool is scanned once and shared by the expansion methods.
+    split; every other method ignores the training data entirely. Each
+    fold's test topics are ranked by rank_topics.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in METHODS]
@@ -67,8 +86,7 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
     repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
     if repeated:
         raise ValueError(f"methods named more than once: {repeated}")
-    if expansion_cfg is None:
-        expansion_cfg = ExpansionConfig()
+    expansion_cfg = expansion_cfg or ExpansionConfig()
     if "dec" in methods and dataset is None:
         raise ValueError("the classifier method needs a labeled dataset")
 
@@ -85,18 +103,15 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
     fold_ids = partition_folds(topic_of.keys(), folds, fold_rng)
     fold_seeds = seed_seq.spawn(folds)
 
-    expands = any(m != "qlm" for m in methods)
     rankings: dict[str, list] = {m: [] for m in methods}
     for f, test_qids in enumerate(fold_ids):
-        test_topics = [topic_of[q] for q in test_qids]
-        model = refset = ref_reps = None
+        model = refset = None
         if "dec" in methods:
             train_qids = [q for ids in fold_ids if ids is not test_qids for q in ids]
             train_data = dataset.for_queries(train_qids)
             if not len(train_data):
                 raise ValueError(f"fold {f}: no labeled training examples")
-            child = fold_seeds[f]
-            t_seed, r_seed = child.spawn(2)
+            t_seed, r_seed = fold_seeds[f].spawn(2)
             cfg = train_cfg if train_cfg is not None else TrainConfig()
             cfg = dataclasses.replace(cfg, seed=int(t_seed.generate_state(1)[0]))
             log.info("fold %d/%d: training classifier on %d examples",
@@ -105,15 +120,10 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
                              hidden=hidden, rep=rep, pooling=pooling)
             refset = build_reference_set(train_data, table, refset_size,
                                          np.random.default_rng(r_seed))
-            ref_reps = encode_reference_set(model, refset, table)
-
-        for topic in test_topics:
-            pool = labeling.scored_candidate_pool(
-                topic, table, idx, expansion_cfg.pool_size, stopwords) if expands else []
-            for method in methods:
-                qm = build_query_model(method, topic, pool, table, expansion_cfg,
-                                       model, refset, ref_reps)
-                rankings[method].append(retrieve(qm, idx, mu, depth))
+        ranked = rank_topics([topic_of[q] for q in test_qids], idx, table, methods,
+                             expansion_cfg, stopwords, mu, depth, model, refset)
+        for m in methods:
+            rankings[m].extend(ranked[m])
 
     results = {m: evaluate_rankings(rankings[m], qrels, depth) for m in methods}
     comparisons = {}

@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 
 from qexp.cli import main
+from qexp.collection import load_qrels
 from qexp.config import RANGES, ConfigError, load_config
+from qexp.evaluation import average_precision
 from qexp.labeling import Label, LabeledDataset, LabeledExample
+from qexp.retrieval import RankedList
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = str(FIXTURES / "mini_corpus.sgml")
@@ -154,6 +157,25 @@ def test_eval_writes_reports(ws, capsys):
     csv_lines = (ws / "per_query_ap.csv").read_text().splitlines()
     assert csv_lines[0] == "query_id,qlm,awe"
     assert len(csv_lines) == 3
+
+
+def test_expand_and_eval_give_each_query_the_same_ap(ws, tmp_path):
+    assert _run("eval", "--methods", "qlm,awe,eqe1", "--set", f"index={ws / 'index.qxix'}",
+                "--set", f"topics={TOPICS}", "--set", f"qrels={QRELS}",
+                "--embeddings", VECTORS, "--set", "folds=2",
+                "--output-dir", str(tmp_path)) == 0
+    rows = (tmp_path / "per_query_ap.csv").read_text().splitlines()
+    methods = rows[0].split(",")[1:]
+    assert methods == ["qlm", "awe", "eqe1"]
+    qrels = load_qrels(QRELS)
+    for row in rows[1:]:
+        qid, *aps = row.split(",")
+        for method, ap in zip(methods, aps):
+            run = [line.split() for line in
+                   (ws / f"run_{method}.txt").read_text().splitlines()]
+            ranked = RankedList(qid, [(doc, float(score))
+                                      for q, _, doc, _, score, _ in run if q == qid])
+            assert float(ap) == average_precision(ranked, qrels), (qid, method)
 
 
 @pytest.mark.parametrize("methods, bad", [

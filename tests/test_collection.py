@@ -2,6 +2,7 @@
 
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qexp.collection import (
     InvertedIndex,
     ParseError,
     Qrels,
+    Topic,
     build_index,
     ingest_trec_docs,
     load_qrels,
@@ -18,6 +20,10 @@ from qexp.collection import (
     load_topics,
     tokenize,
 )
+
+from mutation import mutate
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # hand-derived from tests/fixtures/mini_corpus.sgml: lowercase, [a-z0-9]+ runs,
 # INQUERY stopwords removed, no stemming
@@ -302,6 +308,75 @@ def test_load_topics_errors(tmp_path, stopwords):
         load_topics(p, stopwords)
 
 
+def test_load_topics_number_stops_at_whitespace_or_a_tag(tmp_path, stopwords):
+    p = tmp_path / "t.txt"
+    p.write_text("<top><num> Number: 7</num><title> wind</title></top>\n"
+                 "<top>\n<num>8\n<title> Topic: solar\n</top>\n")
+    assert load_topics(p, stopwords) == [Topic("7", ["wind"]), Topic("8", ["solar"])]
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("<top>\n<num> Number: 1\n<title> wind\n</top>\n\n"
+     "<top>\n<num> Number: \n<title> solar energy\n</top>\n", 6,
+     "empty topic number after <num>"),
+    ("<top><num></num><title> solar</title></top>", 1, "empty topic number after <num>"),
+    ("<top>\n<num> 1\n<title> wind\n</top>\n<top>\n<title> solar\n</top>\n", 5,
+     "topic block missing <num> or <title>"),
+    ("<top><num> 5\n<title> solar\n</top>\n\n\n"
+     "<top><num> 5\n<title> wind\n</top>", 6, "duplicate topic number '5'"),
+], ids=["empty-num", "empty-num-closed", "missing-num", "duplicate"])
+def test_topic_block_faults_name_the_line_of_their_top(tmp_path, stopwords, text, line,
+                                                        message):
+    p = tmp_path / "t.txt"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: {message}")):
+        load_topics(p, stopwords)
+
+
+_FUZZ_TOKENS = [b"", b"<top>", b"</top>", b"<num>", b"</num>", b"<title>", b"Number:",
+                b"Topic:", b"701", b"-2", b"0", b"1", b"x", b"<", b" ", b"\t", b"\n",
+                b"\r", b"1.5", b"99999999999999999999"]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_topics_mutation_loads_or_raises_parse_error(stopwords, tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated_topics.txt"
+    path.write_bytes(mutate((FIXTURES / "mini_topics.txt").read_bytes(), data,
+                            _FUZZ_TOKENS))
+    try:
+        topics = load_topics(path, stopwords)
+    except ParseError as exc:
+        assert str(path) in str(exc)
+        return
+    ids = [t.query_id for t in topics]
+    assert len(set(ids)) == len(ids)
+    for t in topics:
+        assert t.query_id and not t.query_id.startswith("<")
+        assert "<" not in t.query_id and not any(c.isspace() for c in t.query_id)
+        assert t.title_terms and all(re.fullmatch("[a-z0-9]+", w) for w in t.title_terms)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_qrels_mutation_loads_or_raises_parse_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated_qrels.txt"
+    path.write_bytes(mutate((FIXTURES / "mini_qrels.txt").read_bytes(), data,
+                            _FUZZ_TOKENS))
+    try:
+        qrels = load_qrels(path)
+    except ParseError as exc:
+        assert str(path) in str(exc)
+        return
+    with open(path, encoding="utf-8") as f:
+        rows = [line.split() for line in f if line.strip()]
+    assert all(len(row) == 4 for row in rows)
+    relevant = {(q, d) for q, _, d, grade in rows if int(grade) > 0}
+    for q, _, d, _ in rows:
+        assert qrels.is_relevant(q, d) == ((q, d) in relevant)
+        assert qrels.num_relevant(q) == sum(1 for rq, _ in relevant if rq == q)
+
+
 def test_load_qrels(mini_qrels):
     assert all(mini_qrels.is_relevant("701", d) for d in ("D01", "D02", "D08"))
     assert mini_qrels.num_relevant("701") == 3
@@ -330,9 +405,11 @@ def test_load_qrels_errors(tmp_path):
     p.write_text("701 0 D01 x\n")
     with pytest.raises(ParseError, match="non-integer grade"):
         load_qrels(p)
-    p.write_text("701 0 D01 -1\n")
-    with pytest.raises(ParseError, match="negative grade"):
-        load_qrels(p)
+    # TREC Web track qrels mark junk pages -2: a judged, non-relevant row
+    p.write_text("701 0 D01 -2\n701 0 D02 1\n")
+    qrels = load_qrels(p)
+    assert not qrels.is_relevant("701", "D01")
+    assert qrels.num_relevant("701") == 1
 
 
 def test_load_stopwords_custom_path(tmp_path):

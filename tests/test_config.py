@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qexp.classifier.inference import ReferenceSet, build_reference_set
 from qexp.classifier.network import SiameseModel
@@ -21,6 +22,8 @@ from qexp.experiment import partition_folds
 from qexp.labeling import (Label, LabeledDataset, LabeledExample, build_dataset,
                            scored_candidate_pool)
 from qexp.retrieval import QueryModel, retrieve
+
+from mutation import mutate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -92,6 +95,43 @@ def test_parse_errors_name_the_line(tmp_path):
     path.write_text("epochs = soon\n")
     with pytest.raises(ConfigError, match="cannot parse 'soon' as int"):
         parse_config_file(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mu = 1000\nfolds = 1\n", "2: folds must be >= 2, got 1"),
+    ("# seeds\n\nseed = -3\n", "3: seed must be in [0, 2**64), got -3"),
+    ("pooling = max\n", "1: pooling must be 'last' or 'mean', got 'max'"),
+    ("m = 2\ndepth = deep\n", "2: config key 'depth': cannot parse 'deep' as int"),
+])
+def test_value_faults_name_the_file_and_line(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    for read in (parse_config_file, lambda p: load_config(p, environ={})):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{message}")):
+            read(str(path))
+
+
+_FUZZ_CFG = ("# a run\ncorpus = /data/trec   # the documents\nmu = 2000\nm = 5\n"
+             "beta = 0.25\npooling = mean\nseed = 7\nfolds = 3\n").encode()
+_FUZZ_TOKENS = [b"", b"=", b"#", b" ", b"\n", b"mu", b"turbo", b"nan", b"-1", b"1e999",
+                b"0", b"0.5", b"2", b"last", b"max", b"18446744073709551616", b"1_0"]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_config_mutation_loads_or_raises_config_error(tmp_path_factory, data):
+    raw = mutate(_FUZZ_CFG, data, _FUZZ_TOKENS, sep=b"=")
+    path = tmp_path_factory.getbasetemp() / "mutated.cfg"
+    path.write_bytes(raw)
+    try:
+        values = parse_config_file(str(path))
+    except ConfigError as exc:
+        assert str(path) in str(exc)
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            load_config(str(path), environ={})
+        return
+    cfg = load_config(str(path), environ={})
+    assert {key: getattr(cfg, key) for key in values} == values
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])

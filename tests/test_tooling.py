@@ -1,11 +1,14 @@
-"""The test suite's own configuration: a failing property test must still
-report its falsifying example under the repository's warning filters."""
+"""The repository's own rules: a failing property test must still report its
+falsifying example under the warning filters, and the package imports nothing
+beyond the standard library and NumPy."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, strategies as st
@@ -27,3 +30,20 @@ def test_a_failing_property_test_reports_its_example(tmp_path):
     assert proc.returncode == 1, out
     assert "Falsifying example" in out, out
     assert "INTERNALERROR" not in out, out
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    modules = sorted((ROOT / "src" / "qexp").rglob("*.py"))
+    assert len(modules) >= 16
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top in ("numpy", "qexp"), \
+                    f"{path.relative_to(ROOT)}:{node.lineno} imports {name}"

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from qexp.labeling import LabeledDataset, LabeledExample
 log = logging.getLogger(__name__)
 
 # Elements per block of the Adam update: the six arrays a block touches
-# (768 KB) stay in a core's L2 cache across all fourteen passes over it.
+# (768 KB) stay in a core's L2 cache across all ten passes over it.
 ADAM_BLOCK = 16384
 
 
@@ -37,14 +38,26 @@ class TrainConfig:
 class Adam:
     """Adaptive-moment gradient descent over a named parameter dict.
 
-    Moments are updated in place, block by block, and the update's
-    temporaries live in one scratch buffer of two blocks, so a step
-    allocates nothing. Each product keeps the evaluation order of the
-    textbook expressions, so the parameters are bit-identical to them.
+    ``m`` and ``v`` hold the moments pre-scaled, m / (1 - beta1) and
+    v / (1 - beta2), so they accumulate ``beta * m + g`` and
+    ``beta * v + g * g``. Both bias corrections fold into two scalars per
+    step (Kingma & Ba's reordered form), and a parameter takes
+    ``p -= (step_size * m) / (sqrt(v) + eps_t)``: one divide and one square
+    root. In exact arithmetic this is the textbook update; only the
+    rounding differs. Moments are updated in place, block by block, and the
+    update's temporaries live in one scratch buffer of two blocks, so a step
+    allocates nothing.
     """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
+        for name, value, ok, requirement in (
+                ("lr", lr, 0 < lr < math.inf, "finite and > 0"),
+                ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
+                ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
+                ("eps", eps, 0 < eps < math.inf, "finite and > 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {requirement}, got {value!r}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -57,8 +70,11 @@ class Adam:
     def step(self, params: dict, grads: dict):
         """One update of params in place; grads are only read."""
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        # sqrt(v_hat) = sqrt(v) / root, so lr * m_hat / (sqrt(v_hat) + eps)
+        # = step_size * m / (sqrt(v) + eps * root) in the scaled moments.
+        root = math.sqrt((1.0 - self.beta2 ** self.t) / (1.0 - self.beta2))
+        step_size = self.lr * (1.0 - self.beta1) / (1.0 - self.beta1 ** self.t) * root
+        eps_t = self.eps * root
         block = ADAM_BLOCK
         for name, param in params.items():
             if not param.flags.c_contiguous:
@@ -68,16 +84,14 @@ class Adam:
                 p, g, m, v = (a[lo:lo + block] for a in flat)
                 den = self._scratch[:g.size]
                 num = self._scratch[block:block + g.size]
-                m *= self.beta1                                  # beta1 * m
-                m += np.multiply(1.0 - self.beta1, g, out=num)   # + (1 - beta1) * g
-                v *= self.beta2                                  # beta2 * v
-                np.multiply(1.0 - self.beta2, g, out=den)
-                v += np.multiply(den, g, out=den)                # + ((1 - beta2) * g) * g
-                np.sqrt(np.divide(v, c2, out=den), out=den)
-                den += self.eps                                  # sqrt(v_hat) + eps
-                np.divide(m, c1, out=num)
-                num *= self.lr                                   # lr * m_hat
-                p -= np.divide(num, den, out=num)
+                m *= self.beta1
+                m += g                                           # beta1 * m + g
+                v *= self.beta2
+                v += np.multiply(g, g, out=den)                  # beta2 * v + g * g
+                np.sqrt(v, out=den)
+                den += eps_t                                     # sqrt(v) + eps_t
+                np.multiply(m, step_size, out=num)
+                p -= np.divide(num, den, out=num)                # (step_size * m) / den
 
 
 def example_sequence(table: EmbeddingTable, query_terms, candidate: str) -> np.ndarray:
@@ -131,7 +145,9 @@ def train(dataset: LabeledDataset, table: EmbeddingTable, cfg: TrainConfig,
 
     adam = Adam(model.params, cfg.learning_rate)
     history = []
+    started = time.perf_counter()
     for epoch in range(cfg.epochs):
+        first = len(history)
         pairs = generate_pairs(examples, balance=True, rng=rng, budget=cfg.pair_budget)
         for batch_no, start in enumerate(range(0, len(pairs), cfg.batch_size)):
             batch = pairs[start:start + cfg.batch_size]
@@ -144,6 +160,11 @@ def train(dataset: LabeledDataset, table: EmbeddingTable, cfg: TrainConfig,
                     f"non-finite loss {loss} at epoch {epoch} batch {batch_no}")
             adam.step(model.params, grads)
             history.append((epoch, batch_no, loss))
+        losses = [row[2] for row in history[first:]]
+        done, elapsed = epoch + 1, time.perf_counter() - started
+        log.info("epoch %d/%d: mean loss %.6f, %.1f s elapsed, ETA %.1f s",
+                 done, cfg.epochs, sum(losses) / len(losses), elapsed,
+                 elapsed / done * (cfg.epochs - done))
     return model, history
 
 

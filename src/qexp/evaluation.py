@@ -8,11 +8,21 @@ from qexp.config import Config
 from qexp.retrieval import RankedList
 
 
+def _judged_top(ranked: RankedList, qrels: Qrels, depth: int) -> list[bool]:
+    """Relevance of the top depth documents, which must all differ: a
+    repeated document would count twice, and AP could pass 1."""
+    top = [doc_id for doc_id, _ in ranked.entries[:depth]]
+    if len(set(top)) < len(top):
+        twice = next(d for i, d in enumerate(top) if d in top[:i])
+        raise ValueError(f"query {ranked.query_id}: document {twice!r} "
+                         f"appears twice in the ranking")
+    return [qrels.is_relevant(ranked.query_id, doc_id) for doc_id in top]
+
+
 def average_precision(ranked: RankedList, qrels: Qrels, depth: int = Config.depth) -> float:
     """AP of the ranked list's top depth entries; see ap_from_ranks."""
     return ap_from_ranks(ranked.query_id, [
-        i for i, (doc_id, _) in enumerate(ranked.entries[:depth], start=1)
-        if qrels.is_relevant(ranked.query_id, doc_id)], qrels)
+        i for i, rel in enumerate(_judged_top(ranked, qrels, depth), start=1) if rel], qrels)
 
 
 def ap_from_ranks(query_id: str, ranks, qrels: Qrels) -> float:
@@ -32,11 +42,7 @@ def ap_from_ranks(query_id: str, ranks, qrels: Qrels) -> float:
 
 def precision_at(ranked: RankedList, qrels: Qrels, cutoff: int = 10) -> float:
     """Relevant count in the top cutoff, divided by cutoff even if fewer retrieved."""
-    hits = sum(
-        1 for doc_id, _ in ranked.entries[:cutoff]
-        if qrels.is_relevant(ranked.query_id, doc_id)
-    )
-    return hits / cutoff
+    return sum(_judged_top(ranked, qrels, cutoff)) / cutoff
 
 
 def robustness_index(baseline_aps: dict, treatment_aps: dict) -> float:
@@ -64,7 +70,9 @@ def paired_t_test(baseline_aps: dict, treatment_aps: dict) -> tuple[float, float
     diffs = [treatment_aps[q] - baseline_aps[q] for q in qids]
     n = len(diffs)
     mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    # Equal differences have zero variance; their rounded mean need not
+    # equal them, and would give a variance of rounding error and a huge t.
+    var = 0.0 if min(diffs) == max(diffs) else sum((d - mean) ** 2 for d in diffs) / (n - 1)
     if var == 0.0:
         if mean == 0.0:
             raise ValueError("all differences are zero, t undefined")
@@ -120,10 +128,12 @@ class EvalResult:
 
 
 def evaluate_rankings(rankings, qrels: Qrels, depth: int = Config.depth) -> EvalResult:
-    """Per-query AP and P@10 for a batch of ranked lists."""
+    """Per-query AP and P@10 for a batch of ranked lists, one per query."""
     ap = {}
     p10 = {}
     for ranked in rankings:
+        if ranked.query_id in ap:
+            raise ValueError(f"query {ranked.query_id}: more than one ranking")
         ap[ranked.query_id] = average_precision(ranked, qrels, depth)
         p10[ranked.query_id] = precision_at(ranked, qrels, 10)
     if not ap:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from qexp.collection import Qrels
 from qexp.evaluation import (
@@ -19,7 +20,7 @@ from qexp.evaluation import (
 )
 from qexp.retrieval import RankedList
 
-from oracles import ap_reference, p_at_reference
+from oracles import ap_reference, p_at_reference, ri_reference
 
 
 def _ranked(qid, doc_ids):
@@ -120,6 +121,22 @@ def test_t_test_errors():
         paired_t_test(base, {"a": 0.1, "c": 0.3})
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_t_test_equal_differences_have_zero_variance(n):
+    # the rounded mean of equal differences need not equal them, which would
+    # leave a variance of rounding error and a huge t
+    for base in (0.2, 0.1, 0.35, 0.7):
+        for delta in (0.1, 0.05, 1 / 3, 1e-9, -0.15, -1 / 7):
+            before = {f"q{i}": base for i in range(n)}
+            after = {q: v + delta for q, v in before.items()}
+            with pytest.raises(ValueError, match="zero variance"):
+                paired_t_test(before, after)
+            comp = Comparison(EvalResult(before, before), EvalResult(after, after))
+            assert math.isnan(comp.t_statistic) and math.isnan(comp.p_value)
+            assert not comp.significant
+            assert comp.ri == (1.0 if after["q0"] > base else -1.0)
+
+
 def test_student_t_cdf_matches_scipy():
     # every dof to 40 covers both parity branches of the finite sum
     for dof in [*range(1, 41), 250, 5000]:
@@ -157,6 +174,99 @@ def test_evaluate_rankings():
     assert res.num_queries == 2
     with pytest.raises(ValueError, match="no rankings"):
         evaluate_rankings([], qrels)
+
+
+def test_evaluate_rankings_rejects_a_repeated_query():
+    qrels = _qrels("q1", ["d1"])
+    qrels.add("q2", "d2", 1)
+    rankings = [_ranked("q1", ["d1"]), _ranked("q2", ["d2"]), _ranked("q1", ["d2"])]
+    with pytest.raises(ValueError, match="query q1: more than one ranking"):
+        evaluate_rankings(rankings, qrels)
+
+
+def test_a_repeated_document_is_rejected_within_the_depth():
+    qrels = _qrels("q", ["d1"])
+    ranked = _ranked("q", ["d1", "d2", "d1"])
+    # counted twice, d1 would give AP (1/1 + 2/3) / 1 > 1
+    with pytest.raises(ValueError, match="document 'd1' appears twice"):
+        average_precision(ranked, qrels)
+    with pytest.raises(ValueError, match="document 'd1' appears twice"):
+        precision_at(ranked, qrels, 10)
+    assert average_precision(ranked, qrels, depth=2) == 1.0
+    assert precision_at(ranked, qrels, 2) == 0.5
+
+
+def _repeats(doc_ids) -> bool:
+    return len(set(doc_ids)) < len(doc_ids)
+
+
+@st.composite
+def _judged_rankings(draw):
+    """Ranked lists over a small document pool (repeats and unjudged
+    documents included) with qrels rows of grades -2..3, and a depth."""
+    pool = [f"d{i}" for i in range(draw(st.integers(1, 12)))]
+    qids = draw(st.lists(st.sampled_from([f"q{i}" for i in range(6)]),
+                         min_size=1, max_size=6, unique=True))
+    rows = [(q, doc_id, grade) for q in qids for doc_id, grade in draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(-2, 3)), max_size=8))]
+    # half the lists may repeat a document
+    lists = {q: draw(st.lists(st.sampled_from(pool), max_size=15,
+                              unique=draw(st.booleans()))) for q in qids}
+    depth = draw(st.integers(1, 20))
+    return lists, rows, depth
+
+
+@settings(max_examples=300)
+@given(_judged_rankings())
+def test_metrics_match_the_oracles(case):
+    lists, rows, depth = case
+    qrels = Qrels()
+    relevant = {q: set() for q in lists}
+    for qid, doc_id, grade in rows:
+        qrels.add(qid, doc_id, grade)
+        if grade > 0:
+            relevant[qid].add(doc_id)
+    rankings = [_ranked(q, docs) for q, docs in lists.items()]
+    aps = {}
+    for ranked in rankings:
+        q, top = ranked.query_id, ranked.doc_ids
+        if _repeats(top[:depth]):
+            with pytest.raises(ValueError, match="appears twice"):
+                average_precision(ranked, qrels, depth)
+        elif not relevant[q]:
+            with pytest.raises(ValueError, match="no relevant"):
+                average_precision(ranked, qrels, depth)
+        else:
+            aps[q] = average_precision(ranked, qrels, depth)
+            assert aps[q] == ap_reference(top, relevant[q], depth)
+            assert 0.0 <= aps[q] <= 1.0
+        for cutoff in (depth, 10):
+            if not _repeats(top[:cutoff]):
+                p = precision_at(ranked, qrels, cutoff)
+                assert p == p_at_reference(top, relevant[q], cutoff)
+                assert 0.0 <= p <= 1.0
+    if len(aps) < len(rankings) or any(_repeats(r.doc_ids[:10]) for r in rankings):
+        with pytest.raises(ValueError):
+            evaluate_rankings(rankings, qrels, depth)
+    else:
+        res = evaluate_rankings(rankings, qrels, depth)
+        assert res.per_query_ap == aps
+        assert res.map == sum(aps[r.query_id] for r in rankings) / len(rankings)
+        assert 0.0 <= res.map <= 1.0 and 0.0 <= res.p10 <= 1.0
+        assert res.num_queries == len(rankings)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.sampled_from([f"q{i}" for i in range(20)]),
+                       st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                       min_size=1))
+def test_robustness_index_matches_the_oracle(pairs):
+    base = {q: b for q, (b, _) in pairs.items()}
+    treat = {q: t for q, (_, t) in pairs.items()}
+    ri = robustness_index(base, treat)
+    assert ri == ri_reference([treat[q] - base[q] for q in pairs])
+    assert -1.0 <= ri <= 1.0
+    assert robustness_index(treat, base) == -ri
 
 
 def test_comparison_significance():

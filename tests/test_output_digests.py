@@ -43,7 +43,7 @@ QUICK_START = {
 }
 LEARN = {
     "model.qxdm":
-        "196db7e203b1c6995c7e1ef6f78a59b9138384565c50838e4470fa9c2165f273",
+        "298b566797c8d7bd5d50b3aa3ea0b17378bcc3f95e6c7485d6f9ba73de572265",
     "loss.csv":
         "f73f2cc0e154e3a7bb03e0f31a7c93958a3b2fba46b10b2b763ba3b5207f860d",
     "run_dec.txt":

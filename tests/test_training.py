@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -56,44 +57,73 @@ def test_train_config_validation():
 
 
 def test_adam_matches_update_formula():
+    """Bit for bit the scaled-moment update, and within a few ulp per step of
+    the textbook bias-corrected one."""
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
     rng = np.random.default_rng(3)
     # "u" spans three of the update's blocks, the last one partly.
     shapes = {"w": (3,), "u": (2, ADAM_BLOCK + 7), "b": (17,), "s": ()}
     params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-    want = {name: p.copy() for name, p in params.items()}
     adam = Adam(params, lr, b1, b2, eps)
     steps = [{name: rng.standard_normal(shape) for name, shape in shapes.items()}
              for _ in range(4)]
     steps[1]["w"] = np.array([0.0, -0.0, 1e-300])
 
-    # shadow computation with the standard bias-corrected update
-    for name in shapes:
-        w = want[name]
-        m = np.zeros_like(w)
-        v = np.zeros_like(w)
-        for t, grads in enumerate(steps, start=1):
-            g = grads[name]
+    # shadows: the scaled moments m / (1 - b1) and v / (1 - b2) with the bias
+    # corrections folded into two scalars, and the textbook update
+    scaled = {name: [p.copy(), np.zeros(shapes[name]), np.zeros(shapes[name])]
+              for name, p in params.items()}
+    textbook = {name: [p.copy(), np.zeros(shapes[name]), np.zeros(shapes[name])]
+                for name, p in params.items()}
+    for t, grads in enumerate(steps, start=1):
+        root = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+        step_size = lr * (1.0 - b1) / (1.0 - b1 ** t) * root
+        for name, g in grads.items():
+            w, m, v = scaled[name]
+            m = b1 * m + g
+            v = b2 * v + g * g
+            scaled[name] = [w - (step_size * m) / (np.sqrt(v) + eps * root), m, v]
+            w, m, v = textbook[name]
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
-            w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
-        want[name] = w
+            textbook[name] = [w - lr * m_hat / (np.sqrt(v_hat) + eps), m, v]
 
-    for grads in steps:
         before = {name: g.copy() for name, g in grads.items()}
         adam.step(params, grads)
         for name, g in grads.items():  # the caller's gradients are only read
             assert g.tobytes() == before[name].tobytes(), name
+        for name, p in params.items():
+            assert p.tobytes() == scaled[name][0].tobytes(), (t, name)
+            assert adam.m[name].tobytes() == scaled[name][1].tobytes(), (t, name)
+            assert adam.v[name].tobytes() == scaled[name][2].tobytes(), (t, name)
+            want = textbook[name][0]
+            bound = 8 * t * np.spacing(np.maximum(np.abs(want), lr))
+            assert np.all(np.abs(p - want) <= bound), (t, name)
     assert adam.t == len(steps)
-    for name in shapes:
-        assert params[name].tobytes() == want[name].tobytes(), name
 
     one = {"w": np.array([1.0, -2.0, 0.5])}
     Adam(one, lr).step(one, {"w": np.array([0.5, -1.0, 0.0])})
     # first component moved down (positive gradient), second moved up
     assert one["w"][0] < 1.0 and one["w"][1] > -2.0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lr", 0.0), ("lr", -0.1), ("lr", math.inf), ("lr", math.nan),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0), ("beta2", 1.5),
+    ("eps", 0.0), ("eps", -1e-8), ("eps", math.inf), ("eps", math.nan),
+])
+def test_adam_rejects_bad_arguments(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        Adam({"w": np.ones(3)}, **{"lr": 0.1, name: value})
+
+
+def test_adam_accepts_boundary_betas():
+    params = {"w": np.array([1.0, -1.0])}
+    Adam(params, 0.1, beta1=0.0, beta2=0.0).step(params, {"w": np.array([1.0, -1.0])})
+    assert np.all(np.isfinite(params["w"]))
+    assert params["w"][0] < 1.0 and params["w"][1] > -1.0
 
 
 def test_adam_rejects_non_contiguous_parameter():
@@ -143,13 +173,14 @@ def test_training_steps_match_allocating_reference(pooling):
     assert model.encode(seq).tobytes() == lockstep.encode(seq).tobytes()
 
 
-# sha256 of the parameters after the steps below, recorded when a batch ran
-# as one group per sequence length: a batch of equal-length sequences must
-# still give these bits. Like test_output_digests.py, they hold for one
+# sha256 of the parameters after the steps below. The losses and gradients
+# are those of a batch run as one group per sequence length, so a batch of
+# equal-length sequences must still give these bits; the update is Adam's
+# scaled-moment form. Like test_output_digests.py, they hold for one
 # NumPy/BLAS build.
 EQUAL_LENGTH_DIGESTS = {
-    "last": "2697a54f66eb8c6745d84002cdde165c86b7884ff7b500ee3facd9cbf51245ea",
-    "mean": "4925d84bfe523f47bb1097baffe6e438b7e3f638d4e21e5b722ba61fe21fe7e1",
+    "last": "f10fe62bf54f5c979bc11cba4430a4ae443ec487d19bcc27cdf247e5caf7220c",
+    "mean": "07464f3eef930cb37fefe52c0a9cecab1e6fe093953517085492503b26750346",
 }
 
 
@@ -252,6 +283,22 @@ def test_train_loss_decreases_on_separable_data():
     first_epoch = [loss for ep, _, loss in history if ep == 0]
     last_epoch = [loss for ep, _, loss in history if ep == cfg.epochs - 1]
     assert sum(last_epoch) / len(last_epoch) < sum(first_epoch) / len(first_epoch)
+
+
+def test_train_logs_one_progress_line_per_epoch(caplog):
+    cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=3, seed=0,
+                      pair_budget=64)
+    with caplog.at_level(logging.INFO, logger="qexp.classifier.training"):
+        _, history = train(_cluster_dataset(), _cluster_table(), cfg, hidden=4, rep=4)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "qexp.classifier.training"]
+    assert len(lines) == cfg.epochs
+    for epoch, line in enumerate(lines):
+        losses = [loss for ep, _, loss in history if ep == epoch]
+        head = f"epoch {epoch + 1}/{cfg.epochs}: mean loss {sum(losses) / len(losses):.6f}, "
+        assert line.startswith(head), line
+        assert line.endswith(" s") and " s elapsed, ETA " in line, line
+    assert lines[-1].endswith("ETA 0.0 s")
 
 
 def test_train_raises_on_nonfinite_loss():

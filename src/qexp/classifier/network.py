@@ -171,19 +171,16 @@ class SiameseModel:
         h = self.hidden
         caches = [self._lstm_forward(x_fwd, "fwd")[1], self._lstm_forward(x_bwd, "bwd")[1]]
         # The steps each row pools, (T, B, 1) in scan order: its last true
-        # step, or all of them. Mean over steps is position-invariant, so the
-        # backward scan's states need no realignment.
+        # step, or all of them. Both scans meet a row's true steps first, so
+        # one mask serves both, and both poolings sum the kept states.
         steps = np.arange(T)[:, None, None]
         keep = (steps == lengths[:, None] - 1 if self.pooling == "last"
                 else steps < lengths[:, None])
         pooled = self._buffer("pooled", (B, 2 * h))
         for half, (*_, states) in zip((pooled[:, :h], pooled[:, h:]), caches):
-            if self.pooling == "last":
-                for t in range(T):
-                    np.copyto(half, states[t], where=keep[t])
-            else:  # a contiguous target, so NumPy buffers nothing
-                half[...] = np.add.reduce(states, axis=0, where=keep,
-                                          out=self._buffer("scratch", (B, h)))
+            # a contiguous target, so NumPy buffers nothing
+            half[...] = np.add.reduce(states, axis=0, where=keep,
+                                      out=self._buffer("scratch", (B, h)))
         # Each row's length along its row, so dividing by it broadcasts nothing.
         counts = self._buffer("counts", (B, 2 * h))
         counts[...] = lengths[:, None]

@@ -34,21 +34,20 @@ def generate_pairs(examples, balance: bool, rng: np.random.Generator,
                    budget: int | None = None) -> list[PairExample]:
     """Pairs for one training epoch.
 
-    Without balance and budget this is the exhaustive ordered enumeration.
-    With balance=True, budget pairs are sampled with exactly equal counts of
-    same-class and different-class pairs (budget must be even); same-class
-    pairs are uniform over the ordered same-class population, different-class
-    pairs uniform over unordered class pairs and fed in a fixed class order.
+    Without balance this is the exhaustive ordered enumeration, which takes
+    no budget. With balance=True, budget pairs are sampled with exactly equal
+    counts of same-class and different-class pairs (budget must be even);
+    same-class pairs are uniform over the ordered same-class population,
+    different-class pairs uniform over unordered class pairs and fed in a
+    fixed class order.
     """
     examples = list(examples)
     if len(examples) < 2:
         raise ValueError("pair generation needs at least 2 examples")
     if not balance:
-        pairs = all_ordered_pairs(examples)
-        if budget is not None and budget < len(pairs):
-            keep = rng.choice(len(pairs), size=budget, replace=False)
-            pairs = [pairs[i] for i in sorted(keep)]
-        return pairs
+        if budget is not None:
+            raise ValueError("a pair budget needs balance=True")
+        return all_ordered_pairs(examples)
 
     if budget is None:
         raise ValueError("balanced sampling needs a pair budget")

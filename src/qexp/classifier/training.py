@@ -172,11 +172,12 @@ def pair_accuracy(model: SiameseModel, table: EmbeddingTable, pairs) -> float:
     """Fraction of pairs whose same/different call (threshold 0.5) is right."""
     if not pairs:
         raise ValueError("no pairs to score")
-    correct = 0
+    reps, correct = {}, 0
     for pair in pairs:
-        rep_l, rep_r = (
-            model.encode(example_sequence(table, ex.query_terms, ex.candidate_term))[None]
-            for ex in (pair.left, pair.right))
-        same = bool(judged_same(model.compare_probs(rep_l, rep_r))[0])
-        correct += same == pair.same_class
+        for ex in (pair.left, pair.right):
+            if id(ex) not in reps:  # each distinct example is encoded once
+                reps[id(ex)] = model.encode(
+                    example_sequence(table, ex.query_terms, ex.candidate_term))[None]
+        probs = model.compare_probs(reps[id(pair.left)], reps[id(pair.right)])
+        correct += bool(judged_same(probs)[0]) == pair.same_class
     return correct / len(pairs)

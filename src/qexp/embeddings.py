@@ -10,8 +10,8 @@ from qexp.config import check
 
 log = logging.getLogger(__name__)
 
-# top_k_neighbors first sorts only the rows at or above the (_HEAD_FACTOR * k)-th
-# highest cosine; the spare rows cover terms that its within filter rejects
+# top_k_neighbors sorts the rows at or above the (_HEAD_FACTOR * k)-th highest cosine
+# first, and the rest once, only if its within filter rejects too many of those
 _HEAD_FACTOR = 2
 _NORMAL_NORM = math.sqrt(np.finfo(np.float64).smallest_normal)  # its square is normal
 
@@ -170,7 +170,8 @@ def top_k_neighbors(v: np.ndarray, k: int, table: EmbeddingTable,
     than k entries when fewer terms qualify. One matrix-vector product, then
     one sort of the head: the rows whose cosine reaches the _HEAD_FACTOR*k-th
     highest, ties included, a prefix of the full order. Python walks it until
-    k entries are out; while within rejects too many, the head doubles.
+    k entries are out. Only when within rejects so many that the head runs
+    out are the remaining rows, all below the head, sorted once and walked.
     """
     check("k", k, "pool_size")
     v = np.asarray(v, dtype=np.float64)
@@ -189,21 +190,17 @@ def top_k_neighbors(v: np.ndarray, k: int, table: EmbeddingTable,
         if row is not None:
             keep[row] = False
     rows = np.flatnonzero(keep)
+    in_head = np.ones(len(rows), dtype=bool)
+    if _HEAD_FACTOR * k < len(rows):
+        row_sims = sims[rows]
+        in_head = row_sims >= np.partition(row_sims, -_HEAD_FACTOR * k)[-_HEAD_FACTOR * k]
     out = []
-    walked = 0
-    size = _HEAD_FACTOR * k
-    while True:
-        head = rows
-        if size < len(rows):
-            head = rows[sims[rows] >= np.partition(sims[rows], -size)[-size]]
-        order = head[np.lexsort((table._term_rank[head], -sims[head]))]
-        for i in order[walked:].tolist():
+    for remainder in (False, True):  # the remainder is gathered only if the head runs out
+        part = rows[~in_head if remainder else in_head]
+        for i in part[np.lexsort((table._term_rank[part], -sims[part]))].tolist():
             term = table.terms[i]
             if within is None or term in within:
                 out.append((term, float(sims[i])))
                 if len(out) == k:
                     return out
-        if len(head) == len(rows):
-            return out
-        walked = len(head)
-        size = 2 * max(size, len(head))
+    return out

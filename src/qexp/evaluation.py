@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass, field
 
 from qexp.collection import Qrels
-from qexp.config import Config
+from qexp.config import Config, check
 from qexp.retrieval import RankedList
 
 
@@ -21,6 +21,7 @@ def _judged_top(ranked: RankedList, qrels: Qrels, depth: int) -> list[bool]:
 
 def average_precision(ranked: RankedList, qrels: Qrels, depth: int = Config.depth) -> float:
     """AP of the ranked list's top depth entries; see ap_from_ranks."""
+    check("depth", depth)
     return ap_from_ranks(ranked.query_id, [
         i for i, rel in enumerate(_judged_top(ranked, qrels, depth), start=1) if rel], qrels)
 
@@ -42,6 +43,7 @@ def ap_from_ranks(query_id: str, ranks, qrels: Qrels) -> float:
 
 def precision_at(ranked: RankedList, qrels: Qrels, cutoff: int = 10) -> float:
     """Relevant count in the top cutoff, divided by cutoff even if fewer retrieved."""
+    check("cutoff", cutoff, "depth")
     return sum(_judged_top(ranked, qrels, cutoff)) / cutoff
 
 

@@ -234,8 +234,9 @@ def _init_worker(ctx):
     _WORKER_CTX = ctx
 
 
-def _label_query(topic: Topic) -> list[LabeledExample]:
-    idx, qrels, table, pool_size, eps, mu, depth, stopwords = _WORKER_CTX
+def _label_query(topic: Topic, ctx=None) -> list[LabeledExample]:
+    """A topic's labeled pool, with ctx or, in a pool worker, its _WORKER_CTX."""
+    idx, qrels, table, pool_size, eps, mu, depth, stopwords = ctx or _WORKER_CTX
     terms = [t for t, _ in scored_candidate_pool(topic, table, idx, pool_size, stopwords)]
     _, labels = label_terms(topic, terms, idx, qrels, mu, eps, depth)
     return [LabeledExample(topic.query_id, topic.title_terms, term, label, delta)
@@ -267,8 +268,7 @@ def build_dataset(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTabl
                                   initargs=(ctx,)) as pool:
             per_query = pool.map(_label_query, usable)
     else:
-        _init_worker(ctx)
-        per_query = [_label_query(t) for t in usable]
+        per_query = [_label_query(t, ctx) for t in usable]
 
     examples = [ex for batch in per_query for ex in batch]
     metadata = {

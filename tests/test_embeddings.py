@@ -9,6 +9,7 @@ import pytest
 from qexp.collection import ParseError
 from qexp.embeddings import EmbeddingTable, centroid, load_embeddings, top_k_neighbors
 import reference_embeddings
+import reference_pool
 from reference_pool import cosine
 
 
@@ -249,6 +250,23 @@ def test_rows_in_the_float_range_keep_their_bits():
     assert np.delete(table._unit, 3, axis=0).tobytes() == (
         np.delete(matrix, 3, axis=0) / norms[:, None]).tobytes()
     assert table._unit[3].tolist() == [1 / math.sqrt(2), -1 / math.sqrt(2), 0, 0, 0, 0, 0]
+
+
+def test_within_rejecting_all_but_the_last_row_sorts_twice(monkeypatch):
+    # the head, then the remainder once, however little of it within keeps
+    rng = np.random.default_rng(2)
+    table = EmbeddingTable([f"w{i:04d}" for i in range(4096)],
+                           rng.standard_normal((4096, 8)))
+    v = rng.standard_normal(8)
+    full = reference_pool.top_k_neighbors(v, len(table), table)
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    for k in (1, 3):
+        sorts.clear()
+        got = top_k_neighbors(v, k, table, within={full[-1][0]})
+        assert len(sorts) <= 2
+        assert repr(got) == repr(full[-1:])
 
 
 def test_top_k_validation(tiny_table):

@@ -81,6 +81,19 @@ def test_p10_divides_by_cutoff():
         p_at_reference(ranked.doc_ids, {"d1", "d2"}, 10)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_a_depth_below_one_is_rejected(depth):
+    # a negative slice would drop documents from the end, a zero cutoff divide by zero
+    qrels = _qrels("q", ["d1", "d2"])
+    ranked = _ranked("q", ["d1", "d2"])
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        average_precision(ranked, qrels, depth)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        evaluate_rankings([ranked], qrels, depth)
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        precision_at(ranked, qrels, depth)
+
+
 def test_robustness_index():
     base = {"a": 0.2, "b": 0.2, "c": 0.2, "d": 0.2}
     treat = {"a": 0.3, "b": 0.1, "c": 0.2, "d": 0.4}

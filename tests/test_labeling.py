@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qexp import labeling
 from qexp.collection import Document, ParseError, Qrels, Topic, build_index
 from qexp.embeddings import EmbeddingTable
 from qexp.labeling import (
@@ -130,6 +131,13 @@ def test_build_dataset_workers_match(planted, planted_table):
     serial = build_dataset([topic], idx, qrels, planted_table, workers=1)
     parallel = build_dataset([topic], idx, qrels, planted_table, workers=2)
     assert serial.examples == parallel.examples
+
+
+def test_serial_build_dataset_leaves_no_worker_context(planted, planted_table):
+    # only pool workers hold the inputs in the module global
+    topic, idx, qrels = planted
+    build_dataset([topic], idx, qrels, planted_table, workers=1)
+    assert labeling._WORKER_CTX is None
 
 
 def test_build_dataset_skips_unjudged_query(planted, planted_table, caplog):

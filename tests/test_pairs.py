@@ -37,11 +37,11 @@ def test_all_ordered_pairs_count():
             assert p.same_class == (p.left.label == p.right.label)
 
 
-def test_unbalanced_budget_subsamples():
+def test_unbalanced_pairs_take_no_budget():
     exs = _examples([Label.GOOD, Label.GOOD, Label.BAD, Label.BAD])
     rng = np.random.default_rng(0)
-    pairs = generate_pairs(exs, balance=False, rng=rng, budget=6)
-    assert len(pairs) == 6
+    with pytest.raises(ValueError, match="budget"):
+        generate_pairs(exs, balance=False, rng=rng, budget=6)
     full = generate_pairs(exs, balance=False, rng=rng, budget=None)
     assert len(full) == 12
 

@@ -339,3 +339,15 @@ def test_pair_accuracy_counts_threshold_calls():
     assert pair_accuracy(model, table, pairs) == 1.0 - expected
     with pytest.raises(ValueError, match="no pairs"):
         pair_accuracy(model, table, [])
+
+
+def test_pair_accuracy_encodes_each_example_once():
+    table = _cluster_table()
+    model = SiameseModel(4, 3, 4, np.random.default_rng(0))
+    pairs = generate_pairs(_cluster_dataset().examples, balance=True,
+                           rng=np.random.default_rng(1), budget=40)
+    expected = pair_accuracy(model, table, pairs)
+    encode, encoded = model.encode, []
+    model.encode = lambda seq: encoded.append(1) or encode(seq)
+    assert pair_accuracy(model, table, pairs) == expected
+    assert len(encoded) == len({id(ex) for p in pairs for ex in (p.left, p.right)})

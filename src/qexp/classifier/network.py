@@ -12,7 +12,9 @@ r = representation size, B = batch, T = sequence length. Gate blocks inside
 the (.,4h) matrices are ordered input, forget, cell-candidate, output.
 """
 
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -42,12 +44,11 @@ def _sigmoid(z, scratch):
 
     One exp: 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below. min(z, -z)
     is -|z|, but passes a NaN through with its sign, as the two-branch form
-    does.
+    does. max(e, copysign(1, z)) is 1 from z = -0 up and e below: no mask to cast.
     """
-    pos = z >= 0
     e = np.minimum(z, np.negative(z, out=scratch), out=scratch)
     np.exp(e, out=e)
-    num = np.maximum(e, pos, out=z)
+    num = np.maximum(e, np.copysign(1.0, z, out=z), out=z)
     e += 1.0
     return np.divide(num, e, out=z)
 
@@ -106,14 +107,15 @@ class SiameseModel:
             self._buffer((name, direction), (T, *shape))[order]
             for name, shape in (("gates", (4, B, h)), ("c", (B, h)),
                                 ("tanh_c", (B, h)), ("h", (B, h))))
-        z = self._buffer("z", (B, 4 * h))
-        z_rec = self._buffer("z_rec", (B, 4 * h))
-        scratch = self._buffer("scratch", (3, B, h))
+        # Keyed by direction: the two directions' scans run at once.
+        z, bias = (self._buffer((key, direction), (B, 4 * h)) for key in ("z", "bias"))
+        scratch = self._buffer(("scratch", direction), (3, B, h))
+        bias[...] = b  # a (B, 4h) tile, so adding it broadcasts nothing
         for t in range(T):
             np.matmul(x[:, t], W, out=z)
-            if t:  # no h @ U against the zero state at t = 0
-                z += np.matmul(states[t - 1], U, out=z_rec)
-            z += b
+            if t:  # no h @ U against the zero state at t = 0; gates[t] is unused until the copy
+                z += np.matmul(states[t - 1], U, out=gates[t].reshape(B, 4 * h))
+            z += bias
             np.copyto(gates[t], z.reshape(B, 4, h).transpose(1, 0, 2))
             i, f, g, o = gates[t]
             _sigmoid(gates[t, :2], scratch[:2])
@@ -134,8 +136,8 @@ class SiameseModel:
         U = self.params[f"{direction}.U"]
         B, T, _ = x.shape
         h = self.hidden
-        dh, dc, tmp = self._buffer("scratch", (3, B, h))
-        dz = self._buffer("z", (4, B, h))  # gate-major, like the gate block
+        dh, dc, tmp = self._buffer(("scratch", direction), (3, B, h))
+        dz = self._buffer(("z", direction), (4, B, h))  # gate-major, like the gate block
         dh[...], dc[...] = 0.0, 0.0
         for t in range(T - 1, -1, -1):
             i, f, g, o = gates[t]
@@ -169,7 +171,7 @@ class SiameseModel:
         x_fwd, x_bwd, lengths = self._stack(seqs)
         B, T, _ = x_fwd.shape
         h = self.hidden
-        caches = [self._lstm_forward(x_fwd, "fwd")[1], self._lstm_forward(x_bwd, "bwd")[1]]
+        caches = [cache for _, cache in _both(self._lstm_forward, (x_fwd, "fwd"), (x_bwd, "bwd"))]
         # The steps each row pools, (T, B, 1) in scan order: its last true
         # step, or all of them. Both scans meet a row's true steps first, so
         # one mask serves both, and both poolings sum the kept states.
@@ -180,7 +182,7 @@ class SiameseModel:
         for half, (*_, states) in zip((pooled[:, :h], pooled[:, h:]), caches):
             # a contiguous target, so NumPy buffers nothing
             half[...] = np.add.reduce(states, axis=0, where=keep,
-                                      out=self._buffer("scratch", (B, h)))
+                                      out=self._buffer(("scratch", "fwd"), (B, h)))
         # Each row's length along its row, so dividing by it broadcasts nothing.
         counts = self._buffer("counts", (B, 2 * h))
         counts[...] = lengths[:, None]
@@ -206,12 +208,13 @@ class SiameseModel:
         if self.pooling == "mean":
             d_pooled /= counts
         h = self.hidden
-        d_states = self._buffer("d_states", (T, B, h))
-        d_states[...] = 0.0  # and stays zero at the steps no row pools
-        for direction, cache_dir, d_half in zip(("fwd", "bwd"), caches,
-                                                (d_pooled[:, :h], d_pooled[:, h:])):
+
+        def backward(direction, cache_dir, d_half):
+            d_states = self._buffer(("d_states", direction), (T, B, h))
+            d_states[...] = 0.0  # and stays zero at the steps no row pools
             np.copyto(d_states, d_half, where=keep)
             self._lstm_backward(d_states, cache_dir, direction)
+        _both(backward, ("fwd", caches[0], d_pooled[:, :h]), ("bwd", caches[1], d_pooled[:, h:]))
 
     def _sequences(self, sequences) -> list:
         """sequences as float64 (T, d) arrays, checked against the model."""
@@ -292,6 +295,27 @@ class SiameseModel:
         np.negative(d_reps[:n], out=d_reps[n:])
         self._encode_backward(d_reps, cache)
         return loss, self._grads
+
+
+@functools.cache  # started on first use, so importing qexp starts no thread
+def _helper():
+    from concurrent.futures import ThreadPoolExecutor  # not at import: the CLI starts fast
+    return ThreadPoolExecutor(1)
+
+
+os.register_at_fork(after_in_child=_helper.cache_clear)  # a forked child starts its own
+
+
+def _both(fn, args_a, args_b):
+    """(fn(*args_a), fn(*args_b)): the second on the helper thread while the first
+    runs here if this process may use two CPUs, else in order. Errors reach here."""
+    if len(os.sched_getaffinity(0)) < 2:
+        return fn(*args_a), fn(*args_b)
+    second = _helper().submit(fn, *args_b)
+    try:
+        return fn(*args_a), second.result()
+    finally:
+        second.exception()  # a first call's exception leaves once the second has ended
 
 
 def judged_same(probs) -> np.ndarray:

@@ -1,8 +1,10 @@
 """The repository's own rules: a failing property test must still report its
 falsifying example under the warning filters, and the package imports nothing
-beyond the standard library and NumPy."""
+beyond the standard library and NumPy, and importing the CLI starts no
+executor and leaves NumPy one BLAS thread unless the user chose."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +49,26 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top in ("numpy", "qexp"), \
                     f"{path.relative_to(ROOT)}:{node.lineno} imports {name}"
+
+
+IMPORT_PROBE = '''
+import os, sys
+import qexp.cli
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "concurrent"))
+print(os.environ["OPENBLAS_NUM_THREADS"])
+'''
+
+
+def test_importing_the_cli_loads_no_executor_and_defaults_to_one_blas_thread():
+    """The helper thread's executor loads on first use, not at import; the
+    package sets one BLAS thread before NumPy loads, unless the user set one."""
+    for preset, want in ((None, "1"), ("3", "3")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["[]", want], proc.stdout

@@ -228,6 +228,32 @@ def test_a_warm_training_step_allocates_no_block(pooling):
     assert peak - before < block, (peak - before, block)
 
 
+@pytest.mark.parametrize("pooling", ["last", "mean"])
+def test_twenty_warm_training_steps_each_allocate_no_block(pooling):
+    """The largest allocation peak over 20 warm steps stays below one (B, h)
+    block: the two threads of a step may each hold NumPy iteration buffers at
+    once, which one step catches only sometimes."""
+    d, h, r, n = 300, Config.hidden, Config.rep, Config.batch
+    rng = np.random.default_rng(5)
+    model = SiameseModel(d, h, r, np.random.default_rng(6), pooling)
+    adam = Adam(model.params, 0.01)
+    batch = ([rng.standard_normal((3, d)) for _ in range(n)],
+             [rng.standard_normal((3, d)) for _ in range(n)],
+             [k % 2 == 0 for k in range(n)])
+    for _ in range(2):
+        adam.step(model.params, model.pair_loss_and_grads(*batch)[1])
+    peaks = []
+    for _ in range(20):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            adam.step(model.params, model.pair_loss_and_grads(*batch)[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * n * h * 8, peaks
+
+
 def test_example_sequence_rows_and_errors():
     table = _cluster_table()
     seq = example_sequence(table, ["q", "missing", "g1"], "b1")

@@ -2,9 +2,4 @@
 classifier over frozen word embeddings, and embedding-based expansion with
 classifier-guided reweighting, evaluated under cross-validation."""
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")  # before NumPy loads: the encoder runs its own threads
-
 __version__ = "0.1.0"

@@ -107,9 +107,8 @@ class SiameseModel:
             self._buffer((name, direction), (T, *shape))[order]
             for name, shape in (("gates", (4, B, h)), ("c", (B, h)),
                                 ("tanh_c", (B, h)), ("h", (B, h))))
-        # Keyed by direction: the two directions' scans run at once.
         z, bias = (self._buffer((key, direction), (B, 4 * h)) for key in ("z", "bias"))
-        scratch = self._buffer(("scratch", direction), (3, B, h))
+        scratch = self._buffer(("scratch", direction), (3, B, h))  # by direction: scans overlap
         bias[...] = b  # a (B, 4h) tile, so adding it broadcasts nothing
         for t in range(T):
             np.matmul(x[:, t], W, out=z)
@@ -303,13 +302,20 @@ def _helper():
     return ThreadPoolExecutor(1)
 
 
-os.register_at_fork(after_in_child=_helper.cache_clear)  # a forked child starts its own
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_helper.cache_clear)  # a forked child starts its own
+
+
+def _cpus() -> int:
+    """The CPUs this process may use; the machine's where the OS cannot say (macOS)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _both(fn, args_a, args_b):
     """(fn(*args_a), fn(*args_b)): the second on the helper thread while the first
     runs here if this process may use two CPUs, else in order. Errors reach here."""
-    if len(os.sched_getaffinity(0)) < 2:
+    if _cpus() < 2:
         return fn(*args_a), fn(*args_b)
     second = _helper().submit(fn, *args_b)
     try:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qexp.classifier.network import SiameseModel, _both, judged_same
+from qexp.classifier.network import SiameseModel, judged_same
 from qexp.classifier.pairs import generate_pairs
 from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable
@@ -44,9 +44,9 @@ class Adam:
     step (Kingma & Ba's reordered form), and a parameter takes
     ``p -= (step_size * m) / (sqrt(v) + eps_t)``: one divide and one square
     root. In exact arithmetic this is the textbook update; only the
-    rounding differs. Moments are updated in place, block by block, in two
-    halves of about equal size that run through ``_both``, each with its
-    temporaries in a scratch buffer of two blocks: a step allocates nothing.
+    rounding differs. Moments are updated in place, block by block, and the
+    update's temporaries live in one scratch buffer of two blocks, so a step
+    allocates nothing.
     """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
@@ -65,7 +65,7 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros(v.shape) for k, v in params.items()}
         self.v = {k: np.zeros(v.shape) for k, v in params.items()}
-        self._scratch = np.empty((2, 2, ADAM_BLOCK))  # per half: denominator, numerator
+        self._scratch = np.empty(2 * ADAM_BLOCK)  # denominator, then numerator
 
     def step(self, params: dict, grads: dict):
         """One update of params in place; grads are only read."""
@@ -75,19 +75,15 @@ class Adam:
         root = math.sqrt((1.0 - self.beta2 ** self.t) / (1.0 - self.beta2))
         step_size = self.lr * (1.0 - self.beta1) / (1.0 - self.beta1 ** self.t) * root
         eps_t = self.eps * root
-        blocks = []  # (the parameter's flat p, g, m and v, the block's start)
+        block = ADAM_BLOCK
         for name, param in params.items():
             if not param.flags.c_contiguous:
                 raise ValueError(f"parameter {name} must be C-contiguous")
             flat = [a.reshape(-1) for a in (param, grads[name], self.m[name], self.v[name])]
-            blocks += ((flat, lo) for lo in range(0, param.size, ADAM_BLOCK))
-        ends = np.cumsum([min(flat[0].size - lo, ADAM_BLOCK) for flat, lo in blocks])
-        half = int(np.searchsorted(ends, ends[-1] / 2)) if blocks else 0
-
-        def update(part, scratch):
-            for flat, lo in part:
-                p, g, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
-                den, num = scratch[:, :g.size]
+            for lo in range(0, param.size, block):
+                p, g, m, v = (a[lo:lo + block] for a in flat)
+                den = self._scratch[:g.size]
+                num = self._scratch[block:block + g.size]
                 m *= self.beta1
                 m += g                                           # beta1 * m + g
                 v *= self.beta2
@@ -96,7 +92,6 @@ class Adam:
                 den += eps_t                                     # sqrt(v) + eps_t
                 np.multiply(m, step_size, out=num)
                 p -= np.divide(num, den, out=num)                # (step_size * m) / den
-        _both(update, (blocks[:half], self._scratch[0]), (blocks[half:], self._scratch[1]))
 
 
 def example_sequence(table: EmbeddingTable, query_terms, candidate: str) -> np.ndarray:

@@ -2,18 +2,23 @@
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the user chose, before NumPy loads: the encoder runs two threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # here, not in the package: library callers keep theirs
 
-from qexp import collection, config, embeddings, experiment, labeling
-from qexp.classifier.checkpoint import load_model, save_model, write_loss_csv
-from qexp.classifier.inference import build_reference_set
-from qexp.classifier.network import SiameseModel, gradient_check
-from qexp.classifier.training import TrainConfig, train
-from qexp.expansion import ExpansionConfig
-from qexp.retrieval import write_run
+import numpy as np  # noqa: E402
+
+from qexp import collection, config, embeddings, experiment, labeling  # noqa: E402
+from qexp.classifier.checkpoint import load_model, save_model, write_loss_csv  # noqa: E402
+from qexp.classifier.inference import build_reference_set  # noqa: E402
+from qexp.classifier.network import SiameseModel, gradient_check  # noqa: E402
+from qexp.classifier.training import TrainConfig, train  # noqa: E402
+from qexp.expansion import ExpansionConfig  # noqa: E402
+from qexp.retrieval import write_run  # noqa: E402
 
 log = logging.getLogger(__name__)
 

@@ -1,20 +1,23 @@
-"""The encoder's two scan directions and Adam's two halves run on two threads
-when the process may use two CPUs: the same bits as one after the other,
-errors raised in the caller, and a forked child that starts its own helper."""
+"""The encoder's two scan directions run on two threads when the process may
+use two CPUs: the same bits as one after the other, errors raised in the
+caller, a forked child that starts its own helper, and the same bits where
+the OS has no CPU affinity or fork hooks."""
 
 import hashlib
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qexp.classifier import network
 from qexp.classifier.network import PARAM_ORDER, SiameseModel, _both
-from qexp.classifier.training import ADAM_BLOCK, Adam
+from qexp.classifier.training import Adam
 
 
 def _cpus(monkeypatch, n):
@@ -41,8 +44,9 @@ def _digest(model):
 
 def _run(monkeypatch, cpus, pooling, batches, d=7, h=5, r=6):
     """Losses, gradient bytes per step and the final parameter digest of a
-    model trained on batches while _both sees cpus CPUs."""
-    _cpus(monkeypatch, cpus)
+    model trained on batches while _both sees cpus CPUs (None: as it finds)."""
+    if cpus is not None:
+        _cpus(monkeypatch, cpus)
     model = SiameseModel(d, h, r, np.random.default_rng(5), pooling)
     adam = Adam(model.params, 0.01)
     losses, grads_seen = [], []
@@ -78,24 +82,6 @@ def test_threaded_and_serial_steps_keep_the_same_bits(monkeypatch, short_switche
         for name in PARAM_ORDER:
             assert got[name] == want[name], (step, name)
     assert threaded[2] == serial[2]
-
-
-def test_adam_halves_keep_the_serial_bits(monkeypatch, short_switches):
-    """Parameters of many whole and partial blocks, so each half updates
-    several blocks through its own scratch."""
-    sizes = (6 * ADAM_BLOCK + 5, 7, 5 * ADAM_BLOCK, ADAM_BLOCK - 1, 1)
-    rng = np.random.default_rng(42)
-    grads = [{k: rng.standard_normal(size) for k, size in enumerate(sizes)} for _ in range(8)]
-    digests = []
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        params = {k: np.random.default_rng(k).standard_normal(size)
-                  for k, size in enumerate(sizes)}
-        adam = Adam(params, 0.01)
-        for g in grads:
-            adam.step(params, g)
-        digests.append([params[k].tobytes() for k in params])
-    assert digests[0] == digests[1]
 
 
 def test_each_direction_runs_on_its_own_thread(monkeypatch):
@@ -208,3 +194,37 @@ def test_a_child_forked_after_training_trains_with_its_own_helper(monkeypatch):
     assert proc.exitcode == 0
     assert helpers_at_fork == 0
     assert got == want
+
+
+@pytest.mark.parametrize("cpu_count", [1, 2, None])
+def test_without_cpu_affinity_the_machine_count_decides(monkeypatch, cpu_count):
+    """macOS has no os.sched_getaffinity: _both goes by os.cpu_count(), and
+    runs in order when that is unknown (None). Either way, the same bits."""
+    batches = _batches(42, 7)
+    want = _run(monkeypatch, 1, "mean", batches)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert network._cpus() == (cpu_count or 1)
+    assert _run(monkeypatch, None, "mean", batches) == want
+
+
+WITHOUT_FORK_HOOKS = '''
+import multiprocessing, os, sys
+import numpy, pytest  # the test module's other imports, before os loses its hooks
+del os.register_at_fork, os.sched_getaffinity  # as on Windows
+sys.path.insert(0, sys.argv[1])
+from test_threads import _batches, _train_two_batches
+print(_train_two_batches(_batches(41, 7, count=2)))
+'''
+
+
+def test_the_package_imports_and_trains_without_fork_hooks_or_cpu_affinity(monkeypatch):
+    _cpus(monkeypatch, 1)
+    want = _train_two_batches(_batches(41, 7, count=2))
+    src = str(Path(network.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_FORK_HOOKS, str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want

@@ -1,13 +1,15 @@
 """The repository's own rules: a failing property test must still report its
 falsifying example under the warning filters, and the package imports nothing
-beyond the standard library and NumPy, and importing the CLI starts no
-executor and leaves NumPy one BLAS thread unless the user chose."""
+beyond the standard library and NumPy, and importing it starts no executor;
+only the CLI leaves NumPy one BLAS thread, unless the user chose."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -52,23 +54,27 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
 
 
 IMPORT_PROBE = '''
-import os, sys
-import qexp.cli
+import importlib, os, sys
+importlib.import_module(sys.argv[1])
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "concurrent"))
-print(os.environ["OPENBLAS_NUM_THREADS"])
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
 '''
 
 
-def test_importing_the_cli_loads_no_executor_and_defaults_to_one_blas_thread():
-    """The helper thread's executor loads on first use, not at import; the
-    package sets one BLAS thread before NumPy loads, unless the user set one."""
-    for preset, want in ((None, "1"), ("3", "3")):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                          env.get("PYTHONPATH")]))
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == ["[]", want], proc.stdout
+@pytest.mark.parametrize("module, preset, want", [
+    ("qexp.cli", None, "1"), ("qexp.cli", "3", "3"),
+    ("qexp.classifier.training", None, "None"), ("qexp.experiment", None, "None")])
+def test_importing_loads_no_executor_and_only_the_cli_sets_one_blas_thread(module, preset,
+                                                                          want):
+    """The helper thread's executor loads on first use, not at import. The CLI
+    sets one BLAS thread before NumPy loads, unless the user set one; code
+    that imports the package as a library keeps its own setting."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, module], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", want], proc.stdout

@@ -58,7 +58,8 @@ def text_lines(path, error=ParseError):
 
 
 def write_file(path, data):
-    """Write str (as UTF-8) or bytes-like data to path, replacing it in one step.
+    """Write str (as UTF-8), bytes-like data, or a list of such parts in order,
+    to path, replacing it in one step.
 
     The data goes to ``.<name>.<pid>.tmp`` beside the target, which
     ``os.replace`` then moves over it; on any error the temporary file is
@@ -68,7 +69,8 @@ def write_file(path, data):
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for part in data if isinstance(data, list) else [data]:
+                f.write(part.encode("utf-8") if isinstance(part, str) else part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -165,8 +167,8 @@ class InvertedIndex:
         postings = np.insert(pairs.ravel(), 2 * self.offsets[:-1], np.diff(self.offsets))
         sections = (_pack_strings(self.terms, self.collection_freq.tolist()),
                     postings.tobytes(), _pack_strings(self.doc_ids, self.doc_len.tolist()))
-        write_file(path, INDEX_MAGIC + bytes([INDEX_VERSION]) + b"".join(
-            struct.pack("<Q", len(section)) + section for section in sections))
+        write_file(path, [INDEX_MAGIC + bytes([INDEX_VERSION]), *chain.from_iterable(
+            (struct.pack("<Q", len(section)), section) for section in sections)])
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":

@@ -1,14 +1,26 @@
 """Pre-trained word vectors: loading, centroid, cosine neighbors."""
 
+import hashlib
 import logging
 import math
+import os
+import stat
+import struct
+import time
+import zlib
+from pathlib import Path
 
 import numpy as np
 
-from qexp.collection import ParseError, text_lines
+from qexp.collection import ParseError, _pack_strings, _unpack_strings, text_lines, write_file
 from qexp.config import check
 
 log = logging.getLogger(__name__)
+
+# the .qxvec cache (README "File formats"): magic and version, source and restriction
+# sha256, crc32 of every later byte; then rows read, n, d and term table bytes
+_CACHE_HEAD, _CACHE_SIZES = struct.Struct("<5s64sI"), struct.Struct("<4Q")
+_CACHE_TAG = b"QXVC\x01"
 
 # top_k_neighbors sorts the rows at or above the (_HEAD_FACTOR * k)-th highest cosine
 # first, and the rest once, only if its within filter rejects too many of those
@@ -71,11 +83,75 @@ def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
     inferred from the first line and every later line must match it. With
     restrict_to, only listed terms are kept (memory control). Components are
     ASCII decimal floats, all parsed by one np.loadtxt. Every malformed input
-    raises ParseError naming the first bad line.
+    raises ParseError naming the first bad line. A regular file's table is
+    cached beside it, and a load of the same file bytes and restriction reads
+    the same table from there (README "File formats").
     """
+    start = time.perf_counter()
     keep = None if restrict_to is None else set(restrict_to)
+    before, cached, why = os.stat(path), None, None
+    if stat.S_ISREG(before.st_mode):  # a pipe cannot be read twice
+        source = hashlib.sha256()
+        with open(path, "rb") as f:  # in chunks: Python 3.10 has no hashlib.file_digest
+            while chunk := f.read(1 << 20):
+                source.update(chunk)
+        restriction = hashlib.sha256(repr(None if keep is None else sorted(keep)).encode())
+        key = source.digest() + restriction.digest()
+        cache = Path(path).with_name(f".{Path(path).name}.{restriction.hexdigest()[:16]}.qxvec")
+        cached = _read_cache(cache, key)
+    table, read = cached or _parse_text(path, keep)
+    if not cached:
+        after = os.stat(path)
+        if not stat.S_ISREG(before.st_mode):
+            why = "the source is not a regular file"
+        elif (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+            why = "the source changed during the parse"
+        else:
+            why = _write_cache(cache, key, table, read)
+    log.info("embeddings %s: %d of %d rows kept, cache %s, %.2f s%s", path, len(table), read,
+             "hit" if cached else "miss", time.perf_counter() - start,
+             f"; no cache written: {why}" if why else "")
+    return table
+
+
+def _read_cache(cache, key):
+    """(table, rows read) from the cache file under key, or None if it is absent
+    or fails a check: a cache is derived data, so a bad one is never an error."""
+    try:
+        with open(cache, "rb") as f:
+            tag, stored, crc = _CACHE_HEAD.unpack(f.read(_CACHE_HEAD.size))
+            read, n, d, size = _CACHE_SIZES.unpack(sizes := f.read(_CACHE_SIZES.size))
+            if (tag, stored) != (_CACHE_TAG, key) or os.fstat(f.fileno()).st_size != (
+                    _CACHE_HEAD.size + _CACHE_SIZES.size + size + 8 * n * d):
+                return None
+            strings, matrix = f.read(size), np.empty((n, d), "<f8")  # rows read in place
+            if f.readinto(matrix) != matrix.nbytes or crc != zlib.crc32(
+                    matrix, zlib.crc32(strings, zlib.crc32(sizes))):
+                return None
+        return EmbeddingTable(_unpack_strings(strings, str(cache), "term")[0], matrix), read
+    except (OSError, ValueError, struct.error, IndexError):
+        return None
+
+
+def _write_cache(cache, key, table, read):
+    """Write the table to the cache file under key; None, or why it was not written."""
+    rows = table.matrix.astype("<f8", copy=False)
+    try:
+        strings = _pack_strings(table.terms, [0] * len(table))
+        sizes = _CACHE_SIZES.pack(read, *rows.shape, len(strings))
+        crc = zlib.crc32(rows, zlib.crc32(strings, zlib.crc32(sizes)))
+        write_file(cache, [_CACHE_HEAD.pack(_CACHE_TAG, key, crc), sizes, strings, rows])
+    except struct.error:
+        return "a term is too long for the cache's term table"
+    except OSError as exc:
+        return str(exc)
+
+
+def _parse_text(path, keep):
+    """The text parse of load_embeddings: the table and the number of rows read."""
     terms = []
     dim = header = last = None  # header: (line number, declared row count)
+    count = 0
 
     def check_dimension(lineno, rest):
         n = len(rest.split())
@@ -87,9 +163,8 @@ def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
     def kept_rows():
         # each line is split once into term and rest; a kept rest goes to
         # loadtxt unsplit, which checks its column count against the first row
-        nonlocal dim, header, last
+        nonlocal dim, header, last, count
         seen = set()
-        count = 0
         for lineno, line in text_lines(path):
             head = line.split(None, 1)
             if not head:
@@ -138,7 +213,7 @@ def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
         check_dimension(*last)
         raise ParseError(f"{path}:{last[0]}: non-numeric vector component") from None
     try:
-        return EmbeddingTable(terms, matrix)
+        return EmbeddingTable(terms, matrix), count
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -1,6 +1,6 @@
 """The one-loadtxt vector reader equals its per-component float() reference
 (tests/reference_embeddings.py) bit for bit: the same table, or the same
-error message naming the same line."""
+error message naming the same line, on a cache miss and on the hit after it."""
 
 import sys
 
@@ -79,8 +79,13 @@ def test_reader_matches_float_reference(tmp_path_factory, case):
     text, restrict = case
     path = tmp_path_factory.getbasetemp() / "vectors.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert outcome(load_embeddings, path, restrict) == outcome(
-        reference_embeddings.load_embeddings, path, restrict)
+    for cache in path.parent.glob(".vectors.txt.*.qxvec"):
+        cache.unlink()
+    expected = outcome(reference_embeddings.load_embeddings, path, restrict)
+    # a miss, which writes the cache unless the parse fails, then a hit
+    assert outcome(load_embeddings, path, restrict) == expected
+    assert any(path.parent.glob(".vectors.txt.*.qxvec")) != isinstance(expected, str)
+    assert outcome(load_embeddings, path, restrict) == expected
 
 
 @pytest.mark.parametrize("x", [5e-324, -2.2250738585072014e-308, 0.1, 1 / 3, -1e308,

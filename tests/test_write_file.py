@@ -53,7 +53,8 @@ def eval_index(tmp_path_factory):
 
 @pytest.mark.parametrize("data, expected", [
     ("Ö\n", "Ö\n".encode()), (b"\x00\xff", b"\x00\xff"),
-    (bytearray(b"ab"), b"ab"), (memoryview(b"cd"), b"cd"), ("", b"")])
+    (bytearray(b"ab"), b"ab"), (memoryview(b"cd"), b"cd"), ("", b""),
+    ([b"ab", bytearray(b"c"), memoryview(b"d"), "Ö"], "abcdÖ".encode()), ([], b"")])
 def test_write_file_writes_utf8_text_or_bytes_and_replaces(tmp_path, data, expected):
     target = tmp_path / "out"
     target.write_bytes(b"earlier bytes, longer than any new content\n")

@@ -1,10 +1,10 @@
 """Pre-trained word vectors: loading, centroid, cosine neighbors."""
 
+import contextlib
 import hashlib
 import logging
 import math
 import os
-import stat
 import struct
 import time
 import zlib
@@ -18,9 +18,11 @@ from qexp.config import check
 log = logging.getLogger(__name__)
 
 # the .qxvec cache (README "File formats"): magic and version, source and restriction
-# sha256, crc32 of every later byte; then rows read, n, d and term table bytes
-_CACHE_HEAD, _CACHE_SIZES = struct.Struct("<5s64sI"), struct.Struct("<4Q")
-_CACHE_TAG = b"QXVC\x01"
+# sha256, crc32 of every later byte; then n, d and term table bytes. Bump the version
+# whenever _parse_text's tables or errors change, so that no older parse's cache is read
+_CACHE_HEAD, _CACHE_SIZES = struct.Struct("<5s64sI"), struct.Struct("<3Q")
+_CACHE_TAG = b"QXVC\x02"
+_CACHE_ENTRIES = 2  # per vectors file; a write deletes the least recently used beyond
 
 # top_k_neighbors sorts the rows at or above the (_HEAD_FACTOR * k)-th highest cosine
 # first, and the rest once, only if its within filter rejects too many of those
@@ -84,13 +86,12 @@ def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
     restrict_to, only listed terms are kept (memory control). Components are
     ASCII decimal floats, all parsed by one np.loadtxt. Every malformed input
     raises ParseError naming the first bad line. A regular file's table is
-    cached beside it, and a load of the same file bytes and restriction reads
-    the same table from there (README "File formats").
+    cached beside it for the next load (README "File formats").
     """
     start = time.perf_counter()
     keep = None if restrict_to is None else set(restrict_to)
-    before, cached, why = os.stat(path), None, None
-    if stat.S_ISREG(before.st_mode):  # a pipe cannot be read twice
+    before, cache, table = os.stat(path), None, None
+    if os.path.isfile(path):  # a pipe cannot be read twice
         source = hashlib.sha256()
         with open(path, "rb") as f:  # in chunks: Python 3.10 has no hashlib.file_digest
             while chunk := f.read(1 << 20):
@@ -98,29 +99,30 @@ def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
         restriction = hashlib.sha256(repr(None if keep is None else sorted(keep)).encode())
         key = source.digest() + restriction.digest()
         cache = Path(path).with_name(f".{Path(path).name}.{restriction.hexdigest()[:16]}.qxvec")
-        cached = _read_cache(cache, key)
-    table, read = cached or _parse_text(path, keep)
-    if not cached:
+        table = _read_cache(cache, key)
+    hit, why = table is not None, None
+    if not hit:
+        table, read = _parse_text(path, keep)
         after = os.stat(path)
-        if not stat.S_ISREG(before.st_mode):
+        if cache is None:
             why = "the source is not a regular file"
         elif (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
             why = "the source changed during the parse"
         else:
-            why = _write_cache(cache, key, table, read)
-    log.info("embeddings %s: %d of %d rows kept, cache %s, %.2f s%s", path, len(table), read,
-             "hit" if cached else "miss", time.perf_counter() - start,
+            why = _write_cache(cache, key, table)
+    kept = len(table) if hit else f"{len(table)} of {read}"
+    log.info("embeddings %s: %s rows kept, cache %s, %.2f s%s", path, kept,
+             "hit" if hit else "miss", time.perf_counter() - start,
              f"; no cache written: {why}" if why else "")
     return table
 
 
 def _read_cache(cache, key):
-    """(table, rows read) from the cache file under key, or None if it is absent
-    or fails a check: a cache is derived data, so a bad one is never an error."""
+    """The table cached under key, or None: a bad cache is a miss, never an error."""
     try:
         with open(cache, "rb") as f:
             tag, stored, crc = _CACHE_HEAD.unpack(f.read(_CACHE_HEAD.size))
-            read, n, d, size = _CACHE_SIZES.unpack(sizes := f.read(_CACHE_SIZES.size))
+            n, d, size = _CACHE_SIZES.unpack(sizes := f.read(_CACHE_SIZES.size))
             if (tag, stored) != (_CACHE_TAG, key) or os.fstat(f.fileno()).st_size != (
                     _CACHE_HEAD.size + _CACHE_SIZES.size + size + 8 * n * d):
                 return None
@@ -128,23 +130,32 @@ def _read_cache(cache, key):
             if f.readinto(matrix) != matrix.nbytes or crc != zlib.crc32(
                     matrix, zlib.crc32(strings, zlib.crc32(sizes))):
                 return None
-        return EmbeddingTable(_unpack_strings(strings, str(cache), "term")[0], matrix), read
+        table = EmbeddingTable(_unpack_strings(strings, str(cache), "term")[0], matrix)
     except (OSError, ValueError, struct.error, IndexError):
         return None
+    with contextlib.suppress(OSError):  # the clock's ns, finer than a write's stamp
+        os.utime(cache, ns=(time.time_ns(),) * 2)
+    return table
 
 
-def _write_cache(cache, key, table, read):
-    """Write the table to the cache file under key; None, or why it was not written."""
+def _write_cache(cache, key, table):
+    """Cache the table under key, keep _CACHE_ENTRIES; None, or why it was not written."""
     rows = table.matrix.astype("<f8", copy=False)
     try:
         strings = _pack_strings(table.terms, [0] * len(table))
-        sizes = _CACHE_SIZES.pack(read, *rows.shape, len(strings))
+        sizes = _CACHE_SIZES.pack(*rows.shape, len(strings))
         crc = zlib.crc32(rows, zlib.crc32(strings, zlib.crc32(sizes)))
         write_file(cache, [_CACHE_HEAD.pack(_CACHE_TAG, key, crc), sizes, strings, rows])
     except struct.error:
         return "a term is too long for the cache's term table"
     except OSError as exc:
         return str(exc)
+    with contextlib.suppress(OSError):  # another process may delete one first
+        os.utime(cache, ns=(time.time_ns(),) * 2)  # modification times order the entries
+        entries = sorted((p.stat().st_mtime_ns, p) for p in cache.parent.glob(".*.qxvec")
+                         if p.name[:-22] == cache.name[:-22])  # the same source's
+        for _, old in entries[:-_CACHE_ENTRIES]:
+            old.unlink()
 
 
 def _parse_text(path, keep):

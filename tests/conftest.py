@@ -20,6 +20,17 @@ settings.register_profile("qexp", derandomize=True, database=None, deadline=None
 settings.load_profile("qexp")
 
 
+def pytest_sessionstart(session):
+    # tests load tests/fixtures/tiny_vectors.txt in place; a .qxvec cache an earlier
+    # run left beside it would let them read an older parse instead of this one
+    for cache in FIXTURES.glob(".*.qxvec"):
+        cache.unlink()
+
+
+def pytest_sessionfinish(session):
+    pytest_sessionstart(session)
+
+
 @pytest.fixture(scope="session")
 def stopwords():
     return load_stopwords()

@@ -55,7 +55,7 @@ def test_a_second_load_reads_the_cache_and_never_parses(vectors, monkeypatch, ca
     caplog.clear()
     monkeypatch.setattr(np, "loadtxt", no_parse)
     assert table_bits(load_embeddings(vectors, restrict_to=sorted(KEEP))) == expected
-    assert f"embeddings {vectors}: 2 of 3 rows kept, cache hit, " in caplog.text
+    assert f"embeddings {vectors}: 2 rows kept, cache hit, " in caplog.text
     assert caches(vectors) == [name]
 
 
@@ -73,7 +73,27 @@ def test_a_changed_source_or_restriction_never_reads_the_old_entry(vectors):
     for restrict in ({"panel"}, None, {"solar"}):
         assert table_bits(load_embeddings(vectors, restrict_to=restrict)) == reference_bits(
             vectors, restrict)
-    assert len(caches(vectors)) == 4
+
+
+def test_a_source_keeps_its_two_most_recently_used_entries(vectors, monkeypatch):
+    other = vectors.parent / "w.txt"
+    other.write_text(TEXT, encoding="utf-8")
+    load_embeddings(other)
+    names = {}
+    for restrict in (KEEP, {"panel"}):
+        load_embeddings(vectors, restrict_to=restrict)
+        names[frozenset(restrict)] = (set(caches(vectors)) - set(names.values())).pop()
+    assert len(caches(vectors)) == 2
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    load_embeddings(vectors, restrict_to=KEEP)  # a hit makes KEEP's entry the newer
+    monkeypatch.undo()
+    load_embeddings(vectors, restrict_to={"solar"})
+    assert len(caches(vectors)) == 2 and names[frozenset(KEEP)] in caches(vectors)
+    assert names[frozenset({"panel"})] not in caches(vectors)
+    load_embeddings(vectors)
+    assert len(caches(vectors)) == 2 and len(caches(other)) == 1  # only its own source's
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    assert table_bits(load_embeddings(other)) == reference_bits(other, None)
 
 
 @pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX file modes")

@@ -280,14 +280,17 @@ def load_topics(path, stopwords) -> list[Topic]:
     """Parse TREC <top>/<num>/<title> topics; titles are tokenized.
 
     Topics whose titles are empty after stopping are skipped with a warning.
-    A line that is not UTF-8, and a topic block with no number or title or a
-    repeated number, raise ParseError naming path:line.
+    A line that is not UTF-8, a <top> with no </top> before the next <top> or
+    the end, and a topic block with no number or title or a repeated number,
+    raise ParseError naming path:line.
     """
     raw = "".join(line for _, line in text_lines(path))
     topics = []
     seen = set()
-    for m in re.finditer(r"<top>(.*?)</top>", raw, re.DOTALL):
+    for m in re.finditer(r"<top>(.*?)(</top>|<top>|\Z)", raw, re.DOTALL):
         line = raw.count("\n", 0, m.start()) + 1
+        if m.group(2) != "</top>":
+            raise ParseError(f"{path}:{line}: {'nested' if m.group(2) else 'unclosed'} <top>")
         block = m.group(1)
         num_m = re.search(r"<num>\s*(?:Number:)?\s*([^\s<]*)", block)
         title_m = re.search(r"<title>\s*(?:Topic:)?\s*([^<]*)", block)

@@ -50,14 +50,8 @@ class EmbeddingTable:
         self._row = {t: i for i, t in enumerate(self.terms)}
         # each term's position in Python string order, the neighbour tie rule
         self._term_rank = np.array(self.terms, dtype=object).argsort(kind="stable").argsort()
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self.matrix, axis=1)
-        self._unit = self.matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
+        self._unit = _unit_rows(self.matrix)
         self._zero_rows = ~self.matrix.any(axis=1)
-        # a sum of squares that overflowed or is subnormal: scale the row by its max-abs
-        redo = ~self._zero_rows & (np.isinf(norms) | (norms < _NORMAL_NORM))
-        scaled = self.matrix[redo] / np.abs(self.matrix[redo]).max(axis=1, keepdims=True)
-        self._unit[redo] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
 
     def __contains__(self, term: str) -> bool:
         return term in self._row
@@ -75,6 +69,18 @@ class EmbeddingTable:
             return self.matrix[self._row[term]]
         except KeyError:
             raise KeyError(f"term {term!r} not in embedding vocabulary") from None
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of the (n, d) array a over its norm; a zero row stays zero. A row
+    whose sum of squares overflowed or is subnormal is first divided by its max-abs."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=1)
+    unit = a / np.where(norms == 0.0, 1.0, norms)[:, None]
+    redo = a.any(axis=1) & (np.isinf(norms) | (norms < _NORMAL_NORM))
+    scaled = a[redo] / np.abs(a[redo]).max(axis=1, keepdims=True)
+    unit[redo] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+    return unit
 
 
 def load_embeddings(path, restrict_to=None) -> EmbeddingTable:
@@ -263,12 +269,7 @@ def top_k_neighbors(v: np.ndarray, k: int, table: EmbeddingTable,
     v = np.asarray(v, dtype=np.float64)
     if not v.any():
         raise ValueError("cannot search neighbors of a zero vector")
-    with np.errstate(over="ignore"):
-        nv = math.sqrt(float(np.dot(v, v)))
-    if math.isinf(nv) or nv < _NORMAL_NORM:  # the table's rule for its rows
-        v = v / np.abs(v).max()
-        nv = math.sqrt(float(np.dot(v, v)))
-    sims = table._unit @ (v / nv)
+    sims = table._unit @ _unit_rows(v[None])[0]
     np.clip(sims, -1.0, 1.0, out=sims)
     keep = ~table._zero_rows
     for term in exclude:

@@ -11,7 +11,7 @@ from qexp.classifier.inference import ReferenceSet, p_good_batch
 from qexp.classifier.network import SiameseModel
 from qexp.collection import InvertedIndex, Topic
 from qexp.config import Config, check
-from qexp.embeddings import _NORMAL_NORM, EmbeddingTable
+from qexp.embeddings import EmbeddingTable
 from qexp.labeling import scored_candidate_pool
 from qexp.retrieval import QueryModel
 
@@ -37,9 +37,7 @@ def interpolate(topic: Topic, expansion_weights: dict[str, float],
     Exact zero weights are dropped so degenerate beta values reduce cleanly
     to one side.
     """
-    counts: dict[str, float] = {}
-    for t in topic.title_terms:
-        counts[t] = counts.get(t, 0.0) + 1.0
+    counts = QueryModel.from_terms(topic.query_id, topic.title_terms).weights
     total = sum(counts.values())
     weights: dict[str, float] = {}
     for t in sorted(counts):
@@ -78,31 +76,18 @@ def _multiplicative_selection(topic: Topic, pool, table: EmbeddingTable,
 
     score(x) = prod over query terms w of softmax-normalized exp(cos(x, w)),
     the normalization running over the candidate pool for each query term.
-    A query term with a zero vector has no direction and is skipped. Each
-    cosine is one dot product over the norms' product, clipped to [-1, 1]
-    as Python's min and max do (a zero pool row's NaN clips to -1). A pair
-    with a norm that overflowed or is subnormal (the table's rule) takes the
-    dot of the table's unit rows instead. The stacked matmul takes one dot
-    per row, each np.dot's value bit for bit.
+    cos(x, w) is the dot of the table's unit rows, clipped to [-1, 1]. A
+    query term with a zero vector has no direction and is skipped. A pool
+    term with one has cosine 0 to every query term; scored_candidate_pool
+    never returns such a term, but a hand-made pool may hold one.
     """
     pool_terms = [t for t, _ in pool]
-    ids = np.array([table._row[t] for t in pool_terms], dtype=np.intp)
-    rows = table.matrix[ids]
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
-    nonzero = ~table._zero_rows[ids]
-    odd = nonzero & (np.isinf(norms) | (norms < _NORMAL_NORM))
+    units = table._unit[[table._row[t] for t in pool_terms]]
     query_terms = [t for t in topic.title_terms if table.has_direction(t)]
     scores = [1.0] * len(pool_terms)
     for w in query_terms:
-        wv = table.vector(w)
-        with np.errstate(all="ignore"):
-            nw = math.sqrt(float(np.dot(wv, wv)))
-            cosines = np.matmul(rows[:, None, :], wv).ravel() / (norms * nw)
-        redo = nonzero if math.isinf(nw) or nw < _NORMAL_NORM else odd
-        if redo.any():
-            cosines[redo] = np.matmul(table._unit[ids[redo], None, :],
-                                      table._unit[table._row[w]]).ravel()
+        # one dot per row, each np.dot's value bit for bit
+        cosines = np.matmul(units[:, None, :], table._unit[table._row[w]]).ravel()
         sims = [math.exp(min(1.0, max(-1.0, c))) for c in cosines.tolist()]
         denom = sum(sims)
         scores = [score * (s / denom) for score, s in zip(scores, sims)]
@@ -111,9 +96,7 @@ def _multiplicative_selection(topic: Topic, pool, table: EmbeddingTable,
 
 
 def _normalize(weighted: list[tuple[str, float]]) -> dict[str, float]:
-    total = 0.0
-    for _, w in weighted:
-        total += w
+    total = sum(w for _, w in weighted)
     return {t: w / total for t, w in weighted}
 
 

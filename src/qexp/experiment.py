@@ -151,8 +151,8 @@ def format_report(result: ExperimentResult) -> str:
     lines.append("")
     lines.append(f"folds: {result.folds}, "
                  f"queries: {next(iter(result.results.values())).num_queries}")
-    lines.append("sig: baselines (1=qlm 2=awe 3=eqe1) whose MAP this method "
-                 "beats at p < 0.05")
+    legend = " ".join(f"{digit}={m}" for digit, m in enumerate(BASELINE_METHODS, 1))
+    lines.append(f"sig: baselines ({legend}) whose MAP this method beats at p < 0.05")
     return "\n".join(lines) + "\n"
 
 
@@ -178,12 +178,11 @@ def per_query_csv(result: ExperimentResult) -> str:
 
 
 def _sig_markers(result: ExperimentResult, method: str) -> str:
-    digits = {"qlm": "1", "awe": "2", "eqe1": "3"}
     marks = ""
-    for baseline, digit in digits.items():
+    for digit, baseline in enumerate(BASELINE_METHODS, 1):
         comp = result.comparisons.get((baseline, method))
         if comp is None:
             continue
         if comp.significant and result.results[method].map > result.results[baseline].map:
-            marks += digit
+            marks += str(digit)
     return marks or "-"

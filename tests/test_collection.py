@@ -324,7 +324,12 @@ def test_load_topics_number_stops_at_whitespace_or_a_tag(tmp_path, stopwords):
      "topic block missing <num> or <title>"),
     ("<top><num> 5\n<title> solar\n</top>\n\n\n"
      "<top><num> 5\n<title> wind\n</top>", 6, "duplicate topic number '5'"),
-], ids=["empty-num", "empty-num-closed", "missing-num", "duplicate"])
+    ("<top>\n<num> 401\n<title> wind\n\n<top>\n<num> 402\n<title> solar\n</top>\n",
+     1, "nested <top>"),
+    ("<top>\n<num> 402\n<title> solar\n</top>\n\n<top>\n<num> 403\n<title> coal\n",
+     6, "unclosed <top>"),
+], ids=["empty-num", "empty-num-closed", "missing-num", "duplicate", "nested",
+        "unclosed"])
 def test_topic_block_faults_name_the_line_of_their_top(tmp_path, stopwords, text, line,
                                                         message):
     p = tmp_path / "t.txt"

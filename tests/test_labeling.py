@@ -21,6 +21,7 @@ from qexp.labeling import (
     oracle_run,
     scored_candidate_pool,
 )
+from synthworld import mismatch_world
 
 EPS = 0.0005
 
@@ -126,10 +127,12 @@ def test_build_dataset(planted, planted_table):
     assert all(ex.query_terms == ["base"] for ex in ds.examples)
 
 
-def test_build_dataset_workers_match(planted, planted_table):
-    topic, idx, qrels = planted
-    serial = build_dataset([topic], idx, qrels, planted_table, workers=1)
-    parallel = build_dataset([topic], idx, qrels, planted_table, workers=2)
+def test_build_dataset_workers_match():
+    # several usable topics, so that workers=2 labels them in a pool
+    topics, idx, qrels, table = mismatch_world(n_queries=4)
+    serial = build_dataset(topics, idx, qrels, table, pool_size=12, workers=1)
+    parallel = build_dataset(topics, idx, qrels, table, pool_size=12, workers=2)
+    assert {ex.query_id for ex in serial.examples} == {t.query_id for t in topics}
     assert serial.examples == parallel.examples
 
 

@@ -1,5 +1,5 @@
-"""The array-sorted candidate pool and the norm-once multiplicative selection
-equal their sort-based references (tests/reference_pool.py) bit for bit."""
+"""The array-sorted candidate pool and the stacked multiplicative selection
+equal their references (tests/reference_pool.py) bit for bit."""
 
 import numpy as np
 import pytest

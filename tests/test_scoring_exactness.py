@@ -1,10 +1,12 @@
 """Batched classifier scoring and the stacked multiplicative selection against
-their per-term and per-pair references (tests/reference_scoring.py)."""
+their per-term and per-pair references (tests/reference_scoring.py and
+tests/reference_pool.py)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_pool
 import reference_scoring
 from qexp.classifier.inference import ReferenceSet, encode_reference_set, p_good_batch
 from qexp.classifier.network import SiameseModel
@@ -29,8 +31,8 @@ MAGNITUDES = (1e-160, 1e-100, 1.0, 1e154, 1e200)
 @settings(max_examples=60)
 @given(st.data())
 def test_multiplicative_selection_equals_the_per_pair_reference(data):
-    # rows scaled to a max-abs component between 1e-160 (the squared norm
-    # stays above zero) and 1e200 (it overflows, and cosines turn NaN)
+    # rows scaled to a max-abs component between 1e-160 (the squared norm is
+    # subnormal) and 1e200 (it overflows)
     n = data.draw(st.integers(1, 1000))
     dim = data.draw(st.integers(1, 300))
     spread = data.draw(st.sampled_from(["unit", "range", "extremes"]))
@@ -52,10 +54,8 @@ def test_multiplicative_selection_equals_the_per_pair_reference(data):
                                min_size=1, max_size=5))
     pool = [(terms[i], 0.0) for i in rng.permutation(n)]
     m = data.draw(st.integers(1, n + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a dot of big rows
-        got = _multiplicative_selection(Topic("q", title), pool, table, m)
-        want = reference_scoring.multiplicative_selection(Topic("q", title), pool,
-                                                          table, m)
+    got = _multiplicative_selection(Topic("q", title), pool, table, m)
+    want = reference_pool.multiplicative_selection(Topic("q", title), pool, table, m)
     assert [(t, s.hex()) for t, s in got] == [(t, s.hex()) for t, s in want]
 
 

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from qexp.config import Config, check
+from qexp.config import Config, check, usable_cpus as _cpus
 
 
 def param_shapes(d: int, h: int, r: int) -> dict[str, tuple[int, ...]]:
@@ -304,12 +304,6 @@ def _helper():
 
 if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
     os.register_at_fork(after_in_child=_helper.cache_clear)  # a forked child starts its own
-
-
-def _cpus() -> int:
-    """The CPUs this process may use; the machine's where the OS cannot say (macOS)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _both(fn, args_a, args_b):

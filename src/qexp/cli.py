@@ -122,7 +122,7 @@ def cmd_label(cfg: config.Config, args) -> int:
     dataset = labeling.build_dataset(
         topics, idx, qrels, table, pool_size=cfg.pool_size, eps=cfg.eps,
         mu=cfg.mu, depth=cfg.depth, stopwords=stop,
-        workers=cfg.resolved_workers())
+        workers=cfg.workers)
     dataset.save_tsv(_out(cfg, cfg.dataset))
     stats = labeling.dataset_statistics(dataset, topics, idx, qrels, cfg.mu, cfg.depth)
     print(labeling.format_statistics(stats), end="")
@@ -182,7 +182,7 @@ def cmd_eval(cfg: config.Config, args) -> int:
         seed=cfg.seed, expansion_cfg=_expansion_config(cfg),
         train_cfg=_train_config(cfg), refset_size=cfg.refset_size, hidden=cfg.hidden,
         rep=cfg.rep, pooling=cfg.pooling, stopwords=stop, mu=cfg.mu,
-        depth=cfg.depth)
+        depth=cfg.depth, workers=cfg.workers)
     report = experiment.format_report(result)
     collection.write_file(_out(cfg, "report.txt"), report)
     collection.write_file(_out(cfg, "report.tsv"), experiment.report_tsv(result))

@@ -52,6 +52,18 @@ def check(name: str, value, key: str | None = None, error=ConfigError):
         raise error(f"{name} must be {requirement}, got {value!r}")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may use; the machine's where the OS cannot say (macOS)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def resolve_workers(workers: int) -> int:
+    """A checked workers setting as a process count: 0 means one per usable CPU."""
+    check("workers", workers)
+    return workers or usable_cpus()
+
+
 @dataclass
 class Config:
     # paths
@@ -86,7 +98,7 @@ class Config:
     pooling: str = "last"
     # evaluation
     folds: int = 5
-    # 0 = use every available core
+    # labeling and cross-validation processes; 0 = one per usable CPU
     workers: int = 0
 
     def __post_init__(self):
@@ -94,7 +106,7 @@ class Config:
             check(key, getattr(self, key))
 
     def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        return resolve_workers(self.workers)
 
 
 _FIELDS = {f.name: (f.type if isinstance(f.type, str) else f.type.__name__)

@@ -14,6 +14,7 @@ from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable
 from qexp.evaluation import Comparison, EvalResult, evaluate_rankings
 from qexp.expansion import ExpansionConfig, build_query_model
+from qexp.parallel import fan_out
 from qexp.retrieval import RankedList, retrieve
 
 log = logging.getLogger(__name__)
@@ -63,6 +64,36 @@ def rank_topics(topics, idx: InvertedIndex, table: EmbeddingTable, methods,
     return rankings
 
 
+_FOLD_CTX = None
+
+
+def _init_fold_worker(ctx):
+    global _FOLD_CTX
+    _FOLD_CTX = ctx
+
+
+def _fold(f: int, ctx=None) -> dict[str, list[RankedList]]:
+    """Fold f's rankings per method, with ctx or, in a pool worker, its _FOLD_CTX.
+    dec's model and reference set come from the other folds' labeled examples."""
+    (fold_ids, fold_seeds, topic_of, idx, table, dataset, methods, expansion_cfg,
+     stopwords, mu, depth, train_cfg, refset_size, model_kw) = ctx or _FOLD_CTX
+    model = refset = None
+    if "dec" in methods:
+        train_data = dataset.for_queries(
+            [q for g, ids in enumerate(fold_ids) if g != f for q in ids])
+        if not len(train_data):
+            raise ValueError(f"fold {f}: no labeled training examples")
+        t_seed, r_seed = fold_seeds[f].spawn(2)
+        cfg = dataclasses.replace(train_cfg, seed=int(t_seed.generate_state(1)[0]))
+        log.info("fold %d/%d: training classifier on %d examples",
+                 f + 1, len(fold_ids), len(train_data))
+        model, _ = train(train_data, table, cfg, **model_kw)
+        refset = build_reference_set(train_data, table, refset_size,
+                                     np.random.default_rng(r_seed))
+    return rank_topics([topic_of[q] for q in fold_ids[f]], idx, table, methods,
+                       expansion_cfg, stopwords, mu, depth, model, refset)
+
+
 def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTable,
                    dataset: labeling.LabeledDataset | None, methods=METHODS,
                    folds: int = Config.folds, seed: int = Config.seed,
@@ -71,13 +102,15 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
                    refset_size: int = Config.refset_size, hidden: int = Config.hidden,
                    rep: int = Config.rep, pooling: str = Config.pooling,
                    stopwords=frozenset(), mu: float = Config.mu,
-                   depth: int = Config.depth) -> ExperimentResult:
+                   depth: int = Config.depth,
+                   workers: int = Config.workers) -> ExperimentResult:
     """Evaluate methods on seeded k-fold splits; pool per-query metrics.
 
     The classifier method trains one model per fold on the other folds'
     labeled examples and builds its reference set from the same training
     split; every other method ignores the training data entirely. Each
-    fold's test topics are ranked by rank_topics.
+    fold's test topics are ranked by rank_topics. The folds run on workers
+    processes (0: one per usable CPU) and merge in fold order.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in METHODS]
@@ -101,29 +134,11 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
     seed_seq = np.random.SeedSequence(seed)
     fold_rng = np.random.default_rng(seed_seq.spawn(1)[0])
     fold_ids = partition_folds(topic_of.keys(), folds, fold_rng)
-    fold_seeds = seed_seq.spawn(folds)
-
-    rankings: dict[str, list] = {m: [] for m in methods}
-    for f, test_qids in enumerate(fold_ids):
-        model = refset = None
-        if "dec" in methods:
-            train_qids = [q for ids in fold_ids if ids is not test_qids for q in ids]
-            train_data = dataset.for_queries(train_qids)
-            if not len(train_data):
-                raise ValueError(f"fold {f}: no labeled training examples")
-            t_seed, r_seed = fold_seeds[f].spawn(2)
-            cfg = train_cfg if train_cfg is not None else TrainConfig()
-            cfg = dataclasses.replace(cfg, seed=int(t_seed.generate_state(1)[0]))
-            log.info("fold %d/%d: training classifier on %d examples",
-                     f + 1, folds, len(train_data))
-            model, _ = train(train_data, table, cfg,
-                             hidden=hidden, rep=rep, pooling=pooling)
-            refset = build_reference_set(train_data, table, refset_size,
-                                         np.random.default_rng(r_seed))
-        ranked = rank_topics([topic_of[q] for q in test_qids], idx, table, methods,
-                             expansion_cfg, stopwords, mu, depth, model, refset)
-        for m in methods:
-            rankings[m].extend(ranked[m])
+    ctx = (fold_ids, seed_seq.spawn(folds), topic_of, idx, table, dataset, methods,
+           expansion_cfg, stopwords, mu, depth, train_cfg or TrainConfig(), refset_size,
+           dict(hidden=hidden, rep=rep, pooling=pooling))
+    per_fold = fan_out(_fold, range(folds), workers, _init_fold_worker, ctx)
+    rankings = {m: [r for ranked in per_fold for r in ranked[m]] for m in methods}
 
     results = {m: evaluate_rankings(rankings[m], qrels, depth) for m in methods}
     comparisons = {}

@@ -10,7 +10,6 @@ import enum
 import itertools
 import json
 import logging
-import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from qexp.collection import InvertedIndex, ParseError, Qrels, Topic, text_lines,
 from qexp.config import Config, check
 from qexp.embeddings import EmbeddingTable, centroid, top_k_neighbors
 from qexp.evaluation import ap_from_ranks, average_precision
+from qexp.parallel import fan_out
 from qexp.retrieval import QueryModel, doc_union, retrieve, term_scores
 
 log = logging.getLogger(__name__)
@@ -246,12 +246,12 @@ def _label_query(topic: Topic, ctx=None) -> list[LabeledExample]:
 def build_dataset(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTable,
                   pool_size: int = Config.pool_size, eps: float = Config.eps,
                   mu: float = Config.mu, depth: int = Config.depth,
-                  stopwords=frozenset(), workers: int = 1) -> LabeledDataset:
+                  stopwords=frozenset(), workers: int = Config.workers) -> LabeledDataset:
     """Label every (query, pool candidate) pair; deterministic order.
 
     Queries without relevant documents are skipped with a warning. Queries
-    are independent, so labeling fans out across workers; results merge in
-    topic order regardless of worker count.
+    are independent, so labeling fans out across workers (0: one per usable
+    CPU); results merge in topic order regardless of worker count.
     """
     check("eps", eps)
     usable = []
@@ -263,13 +263,7 @@ def build_dataset(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTabl
         usable.append(topic)
 
     ctx = (idx, qrels, table, pool_size, eps, mu, depth, frozenset(stopwords))
-    if workers > 1 and len(usable) > 1:
-        with multiprocessing.Pool(workers, initializer=_init_worker,
-                                  initargs=(ctx,)) as pool:
-            per_query = pool.map(_label_query, usable)
-    else:
-        per_query = [_label_query(t, ctx) for t in usable]
-
+    per_query = fan_out(_label_query, usable, workers, _init_worker, ctx)
     examples = [ex for batch in per_query for ex in batch]
     metadata = {
         "eps": eps,

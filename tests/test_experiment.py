@@ -136,11 +136,11 @@ def test_cv_scans_one_candidate_pool_per_topic(
     calls = _count_neighbor_scans(monkeypatch)
     cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, _mini_dataset(),
                    methods=("qlm", "awe", "eqe1", "dec"), folds=2, seed=3,
-                   stopwords=stopwords, **DEC_KWARGS)
+                   stopwords=stopwords, workers=1, **DEC_KWARGS)
     assert len(calls) == 2  # one per eligible topic, 701 and 702
     calls.clear()
     cross_validate(mini_topics, mini_index, mini_qrels, tiny_table, None,
-                   methods=("qlm",), folds=2, stopwords=stopwords)
+                   methods=("qlm",), folds=2, stopwords=stopwords, workers=1)
     assert calls == []
 
 
@@ -153,7 +153,7 @@ def test_topic_without_embedded_title_term_is_kept_unexpanded(caplog):
     caplog.clear()
     with caplog.at_level("WARNING"):
         result = cross_validate(topics, idx, qrels, table, None,
-                                methods=("qlm", "awe", "eqe1"), folds=2,
+                                methods=("qlm", "awe", "eqe1"), folds=2, workers=1,
                                 expansion_cfg=ExpansionConfig(pool_size=12))
     aps = {m: result.results[m].per_query_ap["zz"] for m in ("qlm", "awe", "eqe1")}
     assert aps["awe"] == aps["eqe1"] == aps["qlm"]

@@ -105,9 +105,6 @@ class Config:
         for key in RANGES:
             check(key, getattr(self, key))
 
-    def resolved_workers(self) -> int:
-        return resolve_workers(self.workers)
-
 
 _FIELDS = {f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
            for f in fields(Config)}

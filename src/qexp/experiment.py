@@ -64,36 +64,6 @@ def rank_topics(topics, idx: InvertedIndex, table: EmbeddingTable, methods,
     return rankings
 
 
-_FOLD_CTX = None
-
-
-def _init_fold_worker(ctx):
-    global _FOLD_CTX
-    _FOLD_CTX = ctx
-
-
-def _fold(f: int, ctx=None) -> dict[str, list[RankedList]]:
-    """Fold f's rankings per method, with ctx or, in a pool worker, its _FOLD_CTX.
-    dec's model and reference set come from the other folds' labeled examples."""
-    (fold_ids, fold_seeds, topic_of, idx, table, dataset, methods, expansion_cfg,
-     stopwords, mu, depth, train_cfg, refset_size, model_kw) = ctx or _FOLD_CTX
-    model = refset = None
-    if "dec" in methods:
-        train_data = dataset.for_queries(
-            [q for g, ids in enumerate(fold_ids) if g != f for q in ids])
-        if not len(train_data):
-            raise ValueError(f"fold {f}: no labeled training examples")
-        t_seed, r_seed = fold_seeds[f].spawn(2)
-        cfg = dataclasses.replace(train_cfg, seed=int(t_seed.generate_state(1)[0]))
-        log.info("fold %d/%d: training classifier on %d examples",
-                 f + 1, len(fold_ids), len(train_data))
-        model, _ = train(train_data, table, cfg, **model_kw)
-        refset = build_reference_set(train_data, table, refset_size,
-                                     np.random.default_rng(r_seed))
-    return rank_topics([topic_of[q] for q in fold_ids[f]], idx, table, methods,
-                       expansion_cfg, stopwords, mu, depth, model, refset)
-
-
 def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTable,
                    dataset: labeling.LabeledDataset | None, methods=METHODS,
                    folds: int = Config.folds, seed: int = Config.seed,
@@ -134,10 +104,29 @@ def cross_validate(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTab
     seed_seq = np.random.SeedSequence(seed)
     fold_rng = np.random.default_rng(seed_seq.spawn(1)[0])
     fold_ids = partition_folds(topic_of.keys(), folds, fold_rng)
-    ctx = (fold_ids, seed_seq.spawn(folds), topic_of, idx, table, dataset, methods,
-           expansion_cfg, stopwords, mu, depth, train_cfg or TrainConfig(), refset_size,
-           dict(hidden=hidden, rep=rep, pooling=pooling))
-    per_fold = fan_out(_fold, range(folds), workers, _init_fold_worker, ctx)
+    fold_seeds = seed_seq.spawn(folds)
+
+    def fold(f: int) -> dict[str, list[RankedList]]:
+        """Fold f's rankings per method. dec's model and reference set come
+        from the other folds' labeled examples."""
+        model = refset = None
+        if "dec" in methods:
+            train_data = dataset.for_queries(
+                [q for g, ids in enumerate(fold_ids) if g != f for q in ids])
+            if not len(train_data):
+                raise ValueError(f"fold {f}: no labeled training examples")
+            t_seed, r_seed = fold_seeds[f].spawn(2)
+            cfg = dataclasses.replace(train_cfg or TrainConfig(),
+                                      seed=int(t_seed.generate_state(1)[0]))
+            log.info("fold %d/%d: training classifier on %d examples",
+                     f + 1, folds, len(train_data))
+            model, _ = train(train_data, table, cfg, hidden=hidden, rep=rep, pooling=pooling)
+            refset = build_reference_set(train_data, table, refset_size,
+                                         np.random.default_rng(r_seed))
+        return rank_topics([topic_of[q] for q in fold_ids[f]], idx, table, methods,
+                           expansion_cfg, stopwords, mu, depth, model, refset)
+
+    per_fold = fan_out(fold, range(folds), workers)
     rankings = {m: [r for ranked in per_fold for r in ranked[m]] for m in methods}
 
     results = {m: evaluate_rankings(rankings[m], qrels, depth) for m in methods}

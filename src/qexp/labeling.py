@@ -226,23 +226,6 @@ def label_term(topic: Topic, term: str, idx: InvertedIndex, qrels: Qrels,
     return label_terms(topic, [term], idx, qrels, mu, eps, depth)[1][0]
 
 
-_WORKER_CTX = None
-
-
-def _init_worker(ctx):
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _label_query(topic: Topic, ctx=None) -> list[LabeledExample]:
-    """A topic's labeled pool, with ctx or, in a pool worker, its _WORKER_CTX."""
-    idx, qrels, table, pool_size, eps, mu, depth, stopwords = ctx or _WORKER_CTX
-    terms = [t for t, _ in scored_candidate_pool(topic, table, idx, pool_size, stopwords)]
-    _, labels = label_terms(topic, terms, idx, qrels, mu, eps, depth)
-    return [LabeledExample(topic.query_id, topic.title_terms, term, label, delta)
-            for term, (label, delta) in zip(terms, labels)]
-
-
 def build_dataset(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTable,
                   pool_size: int = Config.pool_size, eps: float = Config.eps,
                   mu: float = Config.mu, depth: int = Config.depth,
@@ -262,8 +245,15 @@ def build_dataset(topics, idx: InvertedIndex, qrels: Qrels, table: EmbeddingTabl
             continue
         usable.append(topic)
 
-    ctx = (idx, qrels, table, pool_size, eps, mu, depth, frozenset(stopwords))
-    per_query = fan_out(_label_query, usable, workers, _init_worker, ctx)
+    stopwords = frozenset(stopwords)
+
+    def label_topic(topic: Topic) -> list[LabeledExample]:
+        terms = [t for t, _ in scored_candidate_pool(topic, table, idx, pool_size, stopwords)]
+        _, labels = label_terms(topic, terms, idx, qrels, mu, eps, depth)
+        return [LabeledExample(topic.query_id, topic.title_terms, term, label, delta)
+                for term, (label, delta) in zip(terms, labels)]
+
+    per_query = fan_out(label_topic, usable, workers)
     examples = [ex for batch in per_query for ex in batch]
     metadata = {
         "eps": eps,

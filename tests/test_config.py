@@ -15,7 +15,7 @@ from qexp.classifier.pairs import generate_pairs
 from qexp.classifier.training import TrainConfig
 from qexp.collection import ParseError
 from qexp.config import (RANGES, Config, ConfigError, _coerce, check, env_overrides,
-                         load_config, parse_config_file)
+                         load_config, parse_config_file, resolve_workers)
 from qexp.embeddings import top_k_neighbors
 from qexp.expansion import ExpansionConfig
 from qexp.experiment import partition_folds
@@ -52,8 +52,8 @@ def test_defaults():
     assert cfg.dataset == "dataset.tsv"
     assert cfg.output_dir == "."
     assert cfg.workers == 0
-    assert cfg.resolved_workers() >= 1
-    assert Config(workers=3).resolved_workers() == 3
+    assert resolve_workers(cfg.workers) >= 1
+    assert resolve_workers(Config(workers=3).workers) == 3
 
 
 def test_readme_table_matches_config_defaults():
@@ -269,9 +269,9 @@ def test_every_check_rejects_exactly_what_config_rejects(mini_index, mini_topics
         "rep": [lambda v: SiameseModel(2, 1, v, rng)],
         "pooling": [lambda v: SiameseModel(2, 1, 1, rng, v)],
         "folds": [lambda v: partition_folds(["a", "b", "c"], v, rng)],
+        "workers": [resolve_workers],
     }
-    # workers is only read through Config.resolved_workers
-    assert set(sites) == set(RANGES) - {"workers"}
+    assert set(sites) == set(RANGES)
     assert set(BOUNDARY) == set(RANGES)
     for key, values in BOUNDARY.items():
         verdicts = [_rejected(lambda: Config(**{key: v})) for v in values]

@@ -1,16 +1,21 @@
-"""The process fan-out of labeling and cross-validation: the same bytes for
-every worker count, errors raised in the caller, nothing left running, pools
-no larger than their work, one CPU count, and each worker on its own share
-of the CPUs."""
+"""The process fan-out of labeling and cross-validation: any callable as a
+task, results in task order, the same bytes for every worker count, errors
+raised in the caller, a dead worker stopping the run, nothing left running,
+pools no larger than their work, one CPU count, and each worker on its own
+share of the CPUs."""
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from qexp.classifier import network
-from qexp.config import Config, ConfigError
+from qexp import parallel
+from qexp.config import Config, ConfigError, resolve_workers
 from qexp.experiment import cross_validate, format_report, per_query_csv, report_tsv
 from qexp.labeling import LabeledDataset, build_dataset
 from qexp.parallel import fan_out
@@ -27,6 +32,71 @@ def _reports(*args, **kwargs):
 def _nothing_left_running(threads):
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
+
+
+def test_a_task_may_be_a_closure_over_what_cannot_be_pickled():
+    lock = threading.Lock()
+
+    def square(task):
+        with lock:
+            return task * task
+
+    for workers in (1, 2):
+        assert fan_out(square, range(4), workers) == [0, 1, 4, 9]
+
+
+def test_results_come_back_in_task_order_whatever_order_they_finish_in():
+    second_done = multiprocessing.get_context("fork").Event()
+
+    def task(i):
+        if i == 0:
+            assert second_done.wait(30)  # task 0 finishes only after task 1
+        else:
+            second_done.set()
+        return i
+
+    assert fan_out(task, range(2), 2) == [0, 1]
+    assert multiprocessing.active_children() == []
+
+
+def test_only_pool_workers_hold_the_job():
+    for workers in (1, 2):
+        assert fan_out(str, range(3), workers) == ["0", "1", "2"]
+        assert parallel._JOB is None
+
+
+DEAD_WORKER = '''
+import multiprocessing, os, signal, time
+from qexp.parallel import fan_out
+
+def task(i):
+    if i == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+start = time.monotonic()
+try:
+    fan_out(task, range(2), 2)
+except ChildProcessError as error:
+    print(type(error).__name__, error)
+print(round(time.monotonic() - start), multiprocessing.active_children())
+'''
+
+
+def test_a_dead_worker_stops_the_run_and_leaves_nothing_running():
+    """A worker killed mid-task (as by the OOM killer): its task will never
+    finish, so the run stops with ChildProcessError instead of waiting."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", DEAD_WORKER], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    raised, left = proc.stdout.splitlines()
+    assert raised.startswith("ChildProcessError a worker process died"), proc.stdout
+    seconds, children = left.split(" ", 1)
+    assert int(seconds) < 10 and children == "[]", proc.stdout
+    assert "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_fixture_reports_keep_their_bytes_for_any_worker_count(
@@ -104,7 +174,7 @@ def test_one_usable_cpu_means_one_process_everywhere(monkeypatch):
     want = build_dataset(topics, idx, qrels, table, pool_size=12, workers=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     sizes = _record_pools(monkeypatch)
-    assert Config().resolved_workers() == 1
+    assert resolve_workers(Config().workers) == 1
     assert network._cpus() == 1
     got = build_dataset(topics, idx, qrels, table, pool_size=12, workers=0)
     assert got.examples == want.examples
@@ -131,17 +201,9 @@ def test_a_negative_worker_count_is_refused(mini_topics, mini_index, mini_qrels,
                        methods=("qlm",), folds=2, workers=-1)
 
 
-_BARRIER = None
-
-
-def _keep_barrier(barrier):
-    global _BARRIER
-    _BARRIER = barrier
-
-
-def _where(task, barrier=None):
+def _where(barrier):
     """This worker's pid and CPUs, once every worker holds a task."""
-    (barrier or _BARRIER).wait(30)
+    barrier.wait(30)
     return os.getpid(), frozenset(os.sched_getaffinity(0))
 
 
@@ -152,7 +214,7 @@ def test_each_worker_is_pinned_to_its_own_share_of_the_cpus():
     if n < 2:
         pytest.skip("one usable CPU: no share to hand out")
     barrier = multiprocessing.get_context("fork").Barrier(n)
-    shares = dict(fan_out(_where, range(n), n, _keep_barrier, barrier)).values()
+    shares = dict(fan_out(lambda task: _where(barrier), range(n), n)).values()
     assert len(shares) == n  # each task held its worker until all n had one
     assert sum(map(len, shares)) == len(cpus)
     assert frozenset().union(*shares) == cpus

@@ -1,7 +1,8 @@
 """The repository's own rules: a failing property test must still report its
 falsifying example under the warning filters, and the package imports nothing
 beyond the standard library and NumPy, and importing it starts no executor;
-only the CLI leaves NumPy one BLAS thread, unless the user chose."""
+only the CLI leaves NumPy one BLAS thread, unless the user chose; and only
+the fan-out keeps a module global that code assigns."""
 
 import ast
 import os
@@ -51,6 +52,17 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top in ("numpy", "qexp"), \
                     f"{path.relative_to(ROOT)}:{node.lineno} imports {name}"
+
+
+def test_only_the_fan_out_assigns_a_module_global():
+    """A pool task is a closure handed to parallel.fan_out, so no caller needs
+    a worker global of its own."""
+    for path in sorted((ROOT / "src" / "qexp").rglob("*.py")):
+        if path.name == "parallel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Global), \
+                f"{path.relative_to(ROOT)}:{node.lineno} has a global statement"
 
 
 IMPORT_PROBE = '''
